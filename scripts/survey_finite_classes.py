@@ -12,12 +12,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from revtop.enumeration import catalog, enumerate_topologies_via_preorders
 from revtop.order import (
     condensational_order,
-    homeo_class,
     is_strongly_reversible,
     is_weakly_reversible,
     maximal_chains_and_endpoints,
     sim_class,
 )
+from revtop.topology import homeo_class
 
 
 def survey(n: int, dot_dir: str | None) -> None:
@@ -45,7 +45,7 @@ def survey(n: int, dot_dir: str | None) -> None:
 def check_class_structure(n: int) -> None:
     cat = catalog(n)
     mismatches = sum(1 for t in cat.topologies
-                     if sim_class(t, cat).members != homeo_class(t).members)
+                     if sim_class(t, cat) != homeo_class(t))
     print(f"n={n}: equivalence classes differing from homeomorphism classes: "
           f"{mismatches} (finite ground sets force zero)")
 

@@ -15,7 +15,7 @@ from .topology import (
     TopologyError,
     check_ground,
     full_mask,
-    mask_tables,
+    homeo_class,
 )
 
 
@@ -181,14 +181,12 @@ def enumerate_topologies(n: int) -> TopologyCatalog:
     check_ground(n)
     all_opens = _enumerate_by_closure(n)
     topologies = tuple(FiniteTopology(n, o) for o in all_opens)
-    tables = mask_tables(n)
     orbits: dict[FiniteTopology, tuple[FiniteTopology, ...]] = {}
     orbit_of: dict[FiniteTopology, FiniteTopology] = {}
     for t in topologies:
         if t in orbit_of:
             continue
-        images = {tuple(sorted(tab[o] for o in t.opens)) for tab in tables}
-        members = tuple(FiniteTopology(n, o) for o in sorted(images))
+        members = homeo_class(t)
         rep = members[0]
         orbits[rep] = members
         for m in members:

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations as _all_perms
+from itertools import permutations
 
 from .enumeration import TopologyCatalog, catalog
 from .topology import (
     DimensionMismatchError,
     FiniteTopology,
-    Permutation,
     antidiscrete_topology,
-    canonical_form,
     discrete_topology,
+    homeo_class,
     image_topology,
     is_condensation,
     is_homeomorphism,
@@ -28,37 +27,6 @@ from .topology import (
 
 REVERSIBILITY_METHODS = ("no_coarser", "no_finer", "antichain", "direct")
 LEQ_METHODS = ("coarsening_of_t2_side", "refinement_of_t1_side", "witness_map")
-
-
-@dataclass(frozen=True)
-class HomeoClass:
-    """All permutation images of one topology, sorted."""
-
-    members: tuple[FiniteTopology, ...]
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-@dataclass(frozen=True)
-class SimClass:
-    """All topologies condensationally equivalent to one topology, sorted."""
-
-    members: tuple[FiniteTopology, ...]
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def homeo_class(t: FiniteTopology) -> HomeoClass:
-    images = {tuple(sorted(tab[o] for o in t.opens)) for tab in mask_tables(t.n)}
-    return HomeoClass(tuple(FiniteTopology(t.n, o) for o in sorted(images)))
 
 
 def _opens_subset(a: FiniteTopology, b_set: frozenset[int]) -> bool:
@@ -71,7 +39,7 @@ def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
     All four methods are equivalent; each is implemented independently so
     they can be tested against one another.
     """
-    cls = homeo_class(t).members
+    cls = homeo_class(t)
     t_set = frozenset(t.opens)
     if method == "no_coarser":
         return not any(u != t and _opens_subset(u, t_set) for u in cls)
@@ -85,8 +53,7 @@ def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
                     return False
         return True
     if method == "direct":
-        for img in _all_perms(range(t.n)):
-            f = Permutation(img)
+        for f in permutations(range(t.n)):
             if is_condensation(f, t, t) and not is_homeomorphism(f, t, t):
                 return False
         return True
@@ -118,19 +85,19 @@ def condensational_leq(t1: FiniteTopology, t2: FiniteTopology,
                 return True
         return False
     if method == "witness_map":
-        for img in _all_perms(range(n)):
-            if is_condensation(Permutation(img), t2, t1):
+        for f in permutations(range(n)):
+            if is_condensation(f, t2, t1):
                 return True
         return False
     raise ValueError(f"unknown ordering method {method!r}")
 
 
-def sim_class(t: FiniteTopology, cat: TopologyCatalog | None = None) -> SimClass:
-    """All catalog members u with t <= u <= t in the condensational preorder."""
+def sim_class(t: FiniteTopology,
+              cat: TopologyCatalog | None = None) -> tuple[FiniteTopology, ...]:
+    """All catalog members u with t <= u <= t in the condensational preorder, sorted."""
     cat = cat if cat is not None else catalog(t.n)
-    members = [u for u in cat.topologies
-               if condensational_leq(t, u) and condensational_leq(u, t)]
-    return SimClass(tuple(sorted(members)))
+    return tuple(sorted(u for u in cat.topologies
+                        if condensational_leq(t, u) and condensational_leq(u, t)))
 
 
 def conv_hull(topologies, cat: TopologyCatalog | None = None) -> tuple[FiniteTopology, ...]:
@@ -152,7 +119,7 @@ def conv_hull(topologies, cat: TopologyCatalog | None = None) -> tuple[FiniteTop
 
 def is_weakly_reversible(t: FiniteTopology, cat: TopologyCatalog | None = None) -> bool:
     """True iff the homeomorphism class of t is convex in the inclusion lattice."""
-    cls = homeo_class(t).members
+    cls = homeo_class(t)
     return conv_hull(cls, cat) == cls
 
 
@@ -161,8 +128,9 @@ def is_strongly_reversible(t: FiniteTopology) -> bool:
     n*(n-1)/2 checks suffice."""
     for i in range(t.n):
         for j in range(i + 1, t.n):
-            f = Permutation.transposition(t.n, i, j)
-            if image_topology(f, t) != t:
+            f = list(range(t.n))
+            f[i], f[j] = j, i
+            if image_topology(tuple(f), t) != t:
                 return False
     return True
 
@@ -170,7 +138,6 @@ def is_strongly_reversible(t: FiniteTopology) -> bool:
 class StrongKind(Enum):
     DISCRETE = "discrete"
     ANTIDISCRETE = "antidiscrete"
-    CO_SMALL = "co_small"
     NOT_STRONGLY_REVERSIBLE = "not_strongly_reversible"
 
 
@@ -178,8 +145,8 @@ def classify_strongly_reversible(t: FiniteTopology) -> StrongKind:
     """Match t against the canonical strongly reversible shapes.
 
     On a finite ground set the complements-of-small-sets shape collapses
-    into the discrete topology, so CO_SMALL is never returned here; it is
-    the countable-ground analogue (see revtop.symbolic.CoSmall).
+    into the discrete topology; it exists only on countable ground sets
+    (see revtop.symbolic.CoSmall).
     """
     if t == discrete_topology(t.n):
         return StrongKind.DISCRETE
@@ -192,8 +159,9 @@ def classify_strongly_reversible(t: FiniteTopology) -> StrongKind:
 class CondOrderDigraph:
     """The condensational order on equivalence classes of topologies.
 
-    Nodes are canonical class representatives; leq is the induced partial
-    order and hasse its transitive reduction.
+    Nodes are the catalog's orbit representatives: every finite space is
+    reversible, so each equivalence class is a single homeomorphism orbit.
+    leq is the induced partial order and hasse its transitive reduction.
     """
 
     n: int
@@ -223,7 +191,7 @@ class CondOrderDigraph:
 
 
 def condensational_order(n: int, cat: TopologyCatalog | None = None) -> CondOrderDigraph:
-    """Quotient of the catalog by condensational equivalence, with Hasse edges."""
+    """The condensational order on the catalog's orbits, with Hasse edges."""
     cat = cat if cat is not None else catalog(n)
     reps = cat.orbit_reps
     k = len(reps)
@@ -240,43 +208,16 @@ def condensational_order(n: int, cat: TopologyCatalog | None = None) -> CondOrde
                 if all(tab[o] in s2 for o in a.opens):
                     leq[i][j] = True
                     break
-    # equivalence classes under mutual leq collapse to single nodes
-    # (for finite ground sets each class is a single orbit already)
-    groups: list[list[int]] = []
-    assigned = [-1] * k
-    for i in range(k):
-        if assigned[i] >= 0:
-            continue
-        grp = [j for j in range(k) if leq[i][j] and leq[j][i]]
-        for j in grp:
-            assigned[j] = len(groups)
-        groups.append(grp)
-    nodes = []
-    sizes = []
-    for grp in groups:
-        rep = min(reps[j] for j in grp)
-        nodes.append(canonical_form(rep))
-        sizes.append(sum(len(cat.orbits[reps[j]]) for j in grp))
-    order = sorted(range(len(groups)), key=lambda g: nodes[g])
-    remap = {g: idx for idx, g in enumerate(order)}
-    m = len(groups)
-    qleq = [[False] * m for _ in range(m)]
+    hasse = []
     for i in range(k):
         for j in range(k):
-            if leq[i][j]:
-                qleq[remap[assigned[i]]][remap[assigned[j]]] = True
-    nodes = tuple(nodes[g] for g in order)
-    sizes = tuple(sizes[g] for g in order)
-    hasse = []
-    for i in range(m):
-        for j in range(m):
-            if i == j or not qleq[i][j]:
+            if i == j or not leq[i][j]:
                 continue
-            if any(qleq[i][x] and qleq[x][j] and x != i and x != j for x in range(m)):
+            if any(leq[i][x] and leq[x][j] and x != i and x != j for x in range(k)):
                 continue
             hasse.append((i, j))
-    return CondOrderDigraph(n, nodes, sizes,
-                            tuple(tuple(row) for row in qleq), tuple(sorted(hasse)))
+    return CondOrderDigraph(n, reps, cat.orbit_sizes(),
+                            tuple(tuple(row) for row in leq), tuple(hasse))
 
 
 @dataclass(frozen=True)
@@ -285,18 +226,18 @@ class ChainReport:
 
     chains: tuple[tuple[FiniteTopology, ...], ...]
     all_singletons: bool
-    endpoint_free: bool  # finite nonempty chains always have endpoints
 
     @property
     def consistent(self) -> bool:
         # a class of a reversible topology must decompose into singleton chains
-        return self.all_singletons and not self.endpoint_free
+        return self.all_singletons
 
 
 def maximal_chains_and_endpoints(members) -> ChainReport:
     """Enumerate maximal chains of a family of topologies ordered by inclusion.
 
-    Accepts any iterable of topologies (e.g. a SimClass); a CondOrderDigraph
+    Accepts any iterable of topologies (e.g. a homeo_class or sim_class
+    tuple); a CondOrderDigraph
     may be passed directly, in which case its nodes with the quotient order
     are used.
     """
@@ -305,8 +246,6 @@ def maximal_chains_and_endpoints(members) -> ChainReport:
         k = len(elems)
         rel = [[members.leq[i][j] and i != j for j in range(k)] for i in range(k)]
     else:
-        if isinstance(members, (HomeoClass, SimClass)):
-            members = members.members
         elems = sorted(set(members))
         k = len(elems)
         sets = [frozenset(t.opens) for t in elems]
@@ -331,7 +270,7 @@ def maximal_chains_and_endpoints(members) -> ChainReport:
         walk([start])
     chain_tuples = tuple(tuple(elems[i] for i in ch) for ch in sorted(chains))
     all_singletons = all(len(c) == 1 for c in chain_tuples)
-    return ChainReport(chain_tuples, all_singletons, endpoint_free=False)
+    return ChainReport(chain_tuples, all_singletons)
 
 
 @dataclass(frozen=True)
@@ -409,8 +348,6 @@ def _canonical_edges(k: int, edges: set[tuple[int, int]]) -> tuple[tuple[int, in
 
 def poset_invariant(members) -> PosetInvariant:
     """Canonical certificate of a family of topologies ordered by inclusion."""
-    if isinstance(members, (HomeoClass, SimClass)):
-        members = members.members
     elems = sorted(set(members))
     k = len(elems)
     sets = [frozenset(t.opens) for t in elems]

@@ -2,10 +2,12 @@
 
 Two colorings of index pairs: `increasing_pairs` (value at the smaller index
 below the value at the larger one) and `distinct_pairs` (values differ).
-Extraction runs the deterministic pivot-partition chain and an exact
-monotone/pigeonhole search, returning the larger homogeneous set; the exact
-search guarantees at least ceil(sqrt(N)) indices on every input, which
-dominates the documented floor(log2 N) bound.
+Extraction is an exact search, so the returned homogeneous set is a largest
+one: for `increasing_pairs` the longer of the longest strictly increasing
+and the longest non-increasing subsequence, for `distinct_pairs` the larger
+of one index per distinct value and the positions of the most frequent
+value.  Either way it has at least ceil(sqrt(N)) indices, which dominates
+the documented floor(log2 N) bound.
 """
 from __future__ import annotations
 
@@ -62,51 +64,6 @@ def sqrt_bound(n: int) -> int:
     return root if root * root == n else root + 1
 
 
-def _pair_color(values, coloring: str, i: int, j: int) -> int:
-    """Color of the index pair {i, j}, i < j: 0 for the open class."""
-    if coloring == "increasing_pairs":
-        return 0 if values[i] < values[j] else 1
-    if coloring == "distinct_pairs":
-        return 0 if values[i] != values[j] else 1
-    raise ValueError(f"unknown coloring {coloring!r}")
-
-
-def _pivot_chain(values, coloring: str) -> tuple[list[int], list[int]]:
-    """Pivot at the least unused index, keep the majority color side (ties to
-    the open class); returns the pivot chain and the color each pivot took."""
-    live = list(range(len(values)))
-    chain: list[int] = []
-    colors: list[int] = []
-    while live:
-        pivot = live[0]
-        chain.append(pivot)
-        rest = live[1:]
-        if not rest:
-            break
-        side0 = [q for q in rest if _pair_color(values, coloring, pivot, q) == 0]
-        side1 = [q for q in rest if _pair_color(values, coloring, pivot, q) == 1]
-        if len(side0) >= len(side1):
-            colors.append(0)
-            live = side0
-        else:
-            colors.append(1)
-            live = side1
-    return chain, colors
-
-
-def _pivot_extract(values, coloring: str) -> tuple[list[int], int]:
-    chain, colors = _pivot_chain(values, coloring)
-    best: list[int] = [chain[0]]
-    best_color = colors[0] if colors else 0
-    for c in (0, 1):
-        picked = [p for p, col in zip(chain, colors) if col == c]
-        if not picked or picked[-1] != chain[-1]:
-            picked = picked + [chain[-1]]
-        if len(picked) > len(best):
-            best, best_color = picked, c
-    return best, best_color
-
-
 def _longest_strictly_increasing(values) -> list[int]:
     tails: list[int] = []          # value at the end of the best run per length
     tail_idx: list[int] = []
@@ -151,12 +108,17 @@ def _longest_non_increasing(values) -> list[int]:
 
 
 def _exact_extract(values, coloring: str) -> tuple[list[int], int]:
+    """A largest homogeneous index set and its color: 0 for the open class
+    (strictly increasing, or injective), 1 for the closed one."""
+    if coloring not in COLORINGS:
+        raise ValueError(f"unknown coloring {coloring!r}")
     if coloring == "increasing_pairs":
         inc = _longest_strictly_increasing(values)
         dec = _longest_non_increasing(values)
         return (inc, 0) if len(inc) >= len(dec) else (dec, 1)
     counts = Counter(values)
-    top_value = min(v for v in counts if counts[v] == max(counts.values()))
+    top = max(counts.values())
+    top_value = min(v for v in counts if counts[v] == top)
     const = [i for i, v in enumerate(values) if v == top_value]
     seen: set[int] = set()
     rainbow = []
@@ -183,18 +145,13 @@ def _kind_of(values, picked, coloring: str, color: int) -> tuple[str, int | None
 def homogeneous_pairs(values, coloring: str = "increasing_pairs") -> HomogeneousResult:
     """Extract a monochromatic index set for the induced pair coloring.
 
-    Deterministic: pivot-partition chain plus an exact search; the larger
-    set wins, so the result always has at least ceil(sqrt(N)) indices.
+    Deterministic and exact: the result is a largest homogeneous set, so it
+    always has at least ceil(sqrt(N)) indices.
     """
     values = list(values)
     if len(values) < 2:
         raise ValueError("need at least two values")
-    pivot_set, pivot_color = _pivot_extract(values, coloring)
-    exact_set, exact_color = _exact_extract(values, coloring)
-    if len(exact_set) > len(pivot_set):
-        picked, color = exact_set, exact_color
-    else:
-        picked, color = pivot_set, pivot_color
+    picked, color = _exact_extract(values, coloring)
     kind, value = _kind_of(values, picked, coloring, color)
     result = HomogeneousResult(tuple(picked), kind, value)
     assert verify_result(values, result)

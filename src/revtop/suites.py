@@ -17,12 +17,12 @@ from .order import (
     classify_strongly_reversible,
     condensational_leq,
     conv_hull,
-    homeo_class,
     is_reversible,
     is_strongly_reversible,
     is_weakly_reversible,
     sim_class,
 )
+from .topology import homeo_class
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ def suite_prop14(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     cat = catalog(n)
     agreed = 0
     for t in cat.topologies:
-        cls = homeo_class(t).members
-        sim = sim_class(t, cat).members
+        cls = homeo_class(t)
+        sim = sim_class(t, cat)
         hull = conv_hull(cls, cat)
         weak = is_weakly_reversible(t, cat)
         if sim == hull and weak == (sim == cls):

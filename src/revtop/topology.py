@@ -60,7 +60,9 @@ def point_cap() -> int:
             cap = int(raw)
         except ValueError as exc:
             raise TopologyError(f"REVTOP_MAX_N must be an integer, got {raw!r}") from exc
-        return max(0, min(cap, HARD_POINT_CAP))
+        if not 0 <= cap <= HARD_POINT_CAP:
+            raise TopologyError(f"REVTOP_MAX_N must lie in 0..{HARD_POINT_CAP}, got {cap}")
+        return cap
     return DEFAULT_POINT_CAP
 
 
@@ -129,17 +131,14 @@ class FiniteTopology:
         return full_mask(self.n)
 
     def is_open(self, mask: int) -> bool:
-        return mask in self._open_set()
+        return mask in self.opens
 
     def is_closed(self, mask: int) -> bool:
-        return (self.full ^ mask) in self._open_set()
+        return (self.full ^ mask) in self.opens
 
     def closed_sets(self) -> tuple[int, ...]:
         full = self.full
         return tuple(sorted(full ^ o for o in self.opens))
-
-    def _open_set(self) -> frozenset[int]:
-        return frozenset(self.opens)
 
     def to_json(self) -> dict:
         return {"n": self.n, "opens": list(self.opens)}
@@ -211,66 +210,6 @@ def discrete_topology(n: int) -> FiniteTopology:
     return FiniteTopology(n, tuple(range(1 << n)))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {0, ..., n-1} given by its image tuple."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.image) != list(range(len(self.image))):
-            raise TopologyError(f"not a permutation: {self.image}")
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def apply(self, i: int) -> int:
-        return self.image[i]
-
-    def apply_mask(self, mask: int) -> int:
-        out = 0
-        for i, j in enumerate(self.image):
-            if mask >> i & 1:
-                out |= 1 << j
-        return out
-
-    def preimage_mask(self, mask: int) -> int:
-        out = 0
-        for i, j in enumerate(self.image):
-            if mask >> j & 1:
-                out |= 1 << i
-        return out
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise DimensionMismatchError("composing permutations of different sizes")
-        return Permutation(tuple(self.image[other.image[i]] for i in range(self.n)))
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
-    @staticmethod
-    def transposition(n: int, i: int, j: int) -> "Permutation":
-        img = list(range(n))
-        img[i], img[j] = img[j], img[i]
-        return Permutation(tuple(img))
-
-
-def all_permutations(n: int):
-    """All n! permutations, in itertools order (deterministic)."""
-    for img in _all_perms(range(n)):
-        yield Permutation(img)
-
-
 @lru_cache(maxsize=None)
 def mask_tables(n: int) -> tuple[tuple[int, ...], ...]:
     """For each permutation of n points, the full mask-image lookup table.
@@ -290,27 +229,49 @@ def mask_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-def image_topology(f: Permutation, t: FiniteTopology) -> FiniteTopology:
-    """The topology {f[O] : O open in t}; always a valid topology."""
-    if f.n != t.n:
-        raise DimensionMismatchError(f"permutation on {f.n} points vs topology on {t.n}")
-    return FiniteTopology(t.n, tuple(sorted(f.apply_mask(o) for o in t.opens)))
+def _check_permutation(f: tuple[int, ...], n: int) -> None:
+    if len(f) != n:
+        raise DimensionMismatchError(f"permutation on {len(f)} points vs topology on {n}")
+    if sorted(f) != list(range(n)):
+        raise TopologyError(f"not a permutation: {f}")
 
 
-def is_continuous(f: Permutation, dom: FiniteTopology, cod: FiniteTopology) -> bool:
+def image_topology(f: tuple[int, ...], t: FiniteTopology) -> FiniteTopology:
+    """The topology {f[O] : O open in t}, where point i maps to f[i]; always
+    a valid topology."""
+    _check_permutation(f, t.n)
+    images = []
+    for o in t.opens:
+        m = 0
+        for i, j in enumerate(f):
+            if o >> i & 1:
+                m |= 1 << j
+        images.append(m)
+    return FiniteTopology(t.n, tuple(sorted(images)))
+
+
+def is_continuous(f: tuple[int, ...], dom: FiniteTopology, cod: FiniteTopology) -> bool:
     """True iff the preimage of every open of cod is open in dom."""
-    if f.n != dom.n or dom.n != cod.n:
+    if dom.n != cod.n:
         raise DimensionMismatchError("mismatched ground sizes")
-    dom_set = dom._open_set()
-    return all(f.preimage_mask(o) in dom_set for o in cod.opens)
+    _check_permutation(f, dom.n)
+    dom_set = frozenset(dom.opens)
+    for o in cod.opens:
+        pre = 0
+        for i, j in enumerate(f):
+            if o >> j & 1:
+                pre |= 1 << i
+        if pre not in dom_set:
+            return False
+    return True
 
 
-def is_condensation(f: Permutation, t1: FiniteTopology, t2: FiniteTopology) -> bool:
+def is_condensation(f: tuple[int, ...], t1: FiniteTopology, t2: FiniteTopology) -> bool:
     """True iff f is a continuous bijection from (X, t1) to (X, t2)."""
     return is_continuous(f, t1, t2)
 
 
-def is_homeomorphism(f: Permutation, t1: FiniteTopology, t2: FiniteTopology) -> bool:
+def is_homeomorphism(f: tuple[int, ...], t1: FiniteTopology, t2: FiniteTopology) -> bool:
     return is_condensation(f, t1, t2) and image_topology(f, t1) == t2
 
 
@@ -329,11 +290,12 @@ def closure(mask: int, t: FiniteTopology) -> int:
     return full ^ interior(full ^ mask, t)
 
 
+def homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
+    """All permutation images of t, sorted; the first is its canonical form."""
+    images = {tuple(sorted(tab[o] for o in t.opens)) for tab in mask_tables(t.n)}
+    return tuple(FiniteTopology(t.n, o) for o in sorted(images))
+
+
 def canonical_form(t: FiniteTopology) -> FiniteTopology:
     """Lexicographically least permutation image; constant on homeomorphism classes."""
-    best = None
-    for tab in mask_tables(t.n):
-        cand = tuple(sorted(tab[o] for o in t.opens))
-        if best is None or cand < best:
-            best = cand
-    return FiniteTopology(t.n, best)
+    return homeo_class(t)[0]

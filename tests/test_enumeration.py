@@ -103,6 +103,7 @@ def test_cap_enforced(monkeypatch):
     monkeypatch.setenv("REVTOP_MAX_N", "3")
     with pytest.raises(CapExceededError):
         enumerate_topologies(4)
-    monkeypatch.setenv("REVTOP_MAX_N", "not-a-number")
-    with pytest.raises(TopologyError):
-        enumerate_topologies(2)
+    for raw in ("not-a-number", "50", "-3"):
+        monkeypatch.setenv("REVTOP_MAX_N", raw)
+        with pytest.raises(TopologyError):
+            enumerate_topologies(2)

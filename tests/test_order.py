@@ -29,8 +29,8 @@ SIERP_FLIP = FiniteTopology(2, (0, 2, 3))
 
 
 def test_homeo_class_examples():
-    assert homeo_class(discrete_topology(3)).members == (discrete_topology(3),)
-    assert homeo_class(SIERP).members == (SIERP, SIERP_FLIP)
+    assert homeo_class(discrete_topology(3)) == (discrete_topology(3),)
+    assert homeo_class(SIERP) == (SIERP, SIERP_FLIP)
     one_point_open = FiniteTopology(3, (0, 1, 7))
     assert len(homeo_class(one_point_open)) == 3
 
@@ -79,7 +79,7 @@ def test_leq_is_preorder(cat2):
 
 def test_sim_class_collapses_to_homeo_class_n3(cat3):
     for t in cat3.topologies:
-        assert sim_class(t, cat3).members == homeo_class(t).members
+        assert sim_class(t, cat3) == homeo_class(t)
 
 
 def test_conv_hull_examples(cat2):
@@ -90,7 +90,7 @@ def test_conv_hull_examples(cat2):
 
 def test_conv_hull_matches_sim_class_n3(cat3):
     for t in cat3.topologies:
-        assert conv_hull(homeo_class(t).members, cat3) == sim_class(t, cat3).members
+        assert conv_hull(homeo_class(t), cat3) == sim_class(t, cat3)
 
 
 def test_weak_reversibility(cat3):
@@ -98,7 +98,7 @@ def test_weak_reversibility(cat3):
     assert is_weakly_reversible(SIERP)
     for t in cat3.topologies:
         weak = is_weakly_reversible(t, cat3)
-        assert weak == (sim_class(t, cat3).members == homeo_class(t).members)
+        assert weak == (sim_class(t, cat3) == homeo_class(t))
         assert weak
 
 
@@ -212,7 +212,7 @@ def test_poset_invariant_is_isomorphism_invariant(cat3):
     tops = cat3.topologies
     for a in tops[::4]:
         cls = homeo_class(a)
-        for b in cls.members:
+        for b in cls:
             assert poset_invariant(homeo_class(b)) == poset_invariant(cls)
 
 

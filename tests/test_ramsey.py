@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +66,29 @@ def test_pairs_requires_two_values():
         homogeneous_pairs([1], "increasing_pairs")
     with pytest.raises(ValueError):
         homogeneous_pairs([1, 2], "no_such_coloring")
+
+
+def test_pairs_size_is_the_brute_force_optimum():
+    def homogeneous(seq, idx, coloring):
+        pairs = [(seq[a], seq[b]) for k, a in enumerate(idx) for b in idx[k + 1:]]
+        if coloring == "increasing_pairs":
+            return all(x < y for x, y in pairs) or all(x >= y for x, y in pairs)
+        return all(x != y for x, y in pairs) or all(x == y for x, y in pairs)
+
+    for n in range(2, 7):
+        for seq in product(range(3), repeat=n):
+            for coloring in ("increasing_pairs", "distinct_pairs"):
+                best = max(r for r in range(1, n + 1)
+                           for idx in combinations(range(n), r)
+                           if homogeneous(seq, idx, coloring))
+                assert len(homogeneous_pairs(seq, coloring).indices) == best
+
+
+def test_pairs_distinct_on_many_distinct_values():
+    values = list(range(100_000, 0, -1))
+    res = homogeneous_pairs(values, "distinct_pairs")
+    assert res.kind == KIND_INJECTIVE
+    assert res.indices == tuple(range(len(values)))
 
 
 def test_constant_or_injective_examples():

@@ -1,14 +1,16 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revtop.enumeration import catalog
 from revtop.topology import (
+    DimensionMismatchError,
     FiniteTopology,
     MissingEmptyError,
     MissingFullError,
     NotClosedUnderUnionError,
-    Permutation,
     TopologyError,
     antidiscrete_topology,
     canonical_form,
@@ -68,31 +70,31 @@ def test_generate_empty_subbase():
 
 def test_image_identity():
     for t in catalog(3).topologies[:10]:
-        assert image_topology(Permutation.identity(3), t) == t
+        assert image_topology((0, 1, 2), t) == t
 
 
 def test_image_swap_on_sierpinski():
-    swap = Permutation.transposition(2, 0, 1)
+    swap = (1, 0)
     assert image_topology(swap, SIERP) == SIERP_FLIP
     assert image_topology(swap, discrete_topology(2)) == discrete_topology(2)
 
 
 def test_continuity_examples():
-    ident = Permutation.identity(2)
+    ident = (0, 1)
     assert is_continuous(ident, SIERP, SIERP)
     assert is_continuous(ident, discrete_topology(2), antidiscrete_topology(2))
     assert not is_continuous(ident, antidiscrete_topology(2), SIERP)
-    swap = Permutation.transposition(2, 0, 1)
+    swap = (1, 0)
     assert not is_continuous(swap, SIERP, SIERP)
 
 
 def test_condensation_and_homeomorphism():
-    ident = Permutation.identity(2)
+    ident = (0, 1)
     assert is_condensation(ident, SIERP, SIERP)
     assert is_homeomorphism(ident, SIERP, SIERP)
     assert is_condensation(ident, discrete_topology(2), SIERP)
     assert not is_homeomorphism(ident, discrete_topology(2), SIERP)
-    swap = Permutation.transposition(2, 0, 1)
+    swap = (1, 0)
     assert is_homeomorphism(swap, SIERP, SIERP_FLIP)
 
 
@@ -136,7 +138,7 @@ def topology_and_perm(draw, n=3):
     cat = catalog(n)
     t = cat.topologies[draw(st.integers(0, len(cat.topologies) - 1))]
     img = draw(st.permutations(list(range(n))))
-    return t, Permutation(tuple(img))
+    return t, tuple(img)
 
 
 @given(topology_and_perm())
@@ -155,27 +157,29 @@ def test_homeo_implies_condensation_both_ways(data):
     image = image_topology(f, t)
     assert is_homeomorphism(f, t, image)
     assert is_condensation(f, t, image)
-    assert is_condensation(f.inverse(), image, t)
+    inverse = tuple(sorted(range(t.n), key=f.__getitem__))
+    assert is_condensation(inverse, image, t)
 
 
 def test_finite_reversibility_lemma_n3(cat3):
     # any continuous self-bijection of a finite space is a homeomorphism
-    from itertools import permutations
     for t in cat3.topologies:
-        for img in permutations(range(3)):
-            f = Permutation(img)
+        for f in permutations(range(3)):
             if is_condensation(f, t, t):
                 assert is_homeomorphism(f, t, t)
 
 
 def test_permutation_algebra():
-    f = Permutation((1, 2, 0))
-    assert f.compose(f.inverse()) == Permutation.identity(3)
-    assert f.inverse().compose(f) == Permutation.identity(3)
-    assert f.apply_mask(0b011) == 0b110
-    assert f.preimage_mask(0b110) == 0b011
+    f = (1, 2, 0)
+    low = FiniteTopology(3, (0, 0b011, 0b111))
+    high = FiniteTopology(3, (0, 0b110, 0b111))
+    assert image_topology(f, low) == high           # {0, 1} maps onto {1, 2}
+    assert is_continuous(f, low, high)              # {1, 2} pulls back to {0, 1}
+    assert not is_continuous(f, high, high)
     with pytest.raises(TopologyError):
-        Permutation((0, 0, 1))
+        image_topology((0, 0, 1), low)
+    with pytest.raises(DimensionMismatchError):
+        is_continuous((1, 0), low, high)
 
 
 def test_json_round_trip():
