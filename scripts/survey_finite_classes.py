@@ -9,7 +9,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from revtop.enumeration import catalog, enumerate_topologies_via_preorders
+from revtop.enumeration import catalog, enumerate_topologies_by_closure
 from revtop.order import (
     condensational_order,
     is_strongly_reversible,
@@ -23,7 +23,7 @@ from revtop.topology import homeo_class
 def survey(n: int, dot_dir: str | None) -> None:
     start = time.time()
     cat = catalog(n)
-    oracle = enumerate_topologies_via_preorders(n)
+    oracle = enumerate_topologies_by_closure(n)
     agree = tuple(cat.topologies) == oracle
     digraph = condensational_order(n, cat)
     strong = sum(1 for t in cat.orbit_reps if is_strongly_reversible(t))

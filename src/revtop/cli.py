@@ -26,7 +26,7 @@ from .order import (
     is_weakly_reversible,
 )
 from .suites import SUITES, run_suites
-from .topology import CapExceededError, TopologyError
+from .topology import TopologyError
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -249,9 +249,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (TopologyError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -195,19 +195,8 @@ def condensational_order(n: int, cat: TopologyCatalog | None = None) -> CondOrde
     cat = cat if cat is not None else catalog(n)
     reps = cat.orbit_reps
     k = len(reps)
-    leq = [[False] * k for _ in range(k)]
-    rep_sets = [frozenset(r.opens) for r in reps]
-    tables = mask_tables(n)
-    for i, a in enumerate(reps):
-        la = len(a.opens)
-        for j in range(k):
-            if len(reps[j].opens) < la:
-                continue
-            s2 = rep_sets[j]
-            for tab in tables:
-                if all(tab[o] in s2 for o in a.opens):
-                    leq[i][j] = True
-                    break
+    leq = [[len(b.opens) >= len(a.opens) and condensational_leq(a, b) for b in reps]
+           for a in reps]
     hasse = []
     for i in range(k):
         for j in range(k):

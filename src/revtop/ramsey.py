@@ -11,7 +11,7 @@ the documented floor(log2 N) bound.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
@@ -64,34 +64,14 @@ def sqrt_bound(n: int) -> int:
     return root if root * root == n else root + 1
 
 
-def _longest_strictly_increasing(values) -> list[int]:
-    tails: list[int] = []          # value at the end of the best run per length
+def _longest_run(values, find) -> list[int]:
+    """Indices of a longest run found by patience sorting: strictly
+    increasing with ``bisect_left``, non-decreasing with ``bisect_right``."""
+    tails: list = []               # value at the end of the best run per length
     tail_idx: list[int] = []
     prev = [-1] * len(values)
     for i, v in enumerate(values):
-        pos = bisect_left(tails, v)
-        if pos == len(tails):
-            tails.append(v)
-            tail_idx.append(i)
-        else:
-            tails[pos] = v
-            tail_idx[pos] = i
-        prev[i] = tail_idx[pos - 1] if pos else -1
-    out = []
-    i = tail_idx[-1]
-    while i >= 0:
-        out.append(i)
-        i = prev[i]
-    return out[::-1]
-
-
-def _longest_non_increasing(values) -> list[int]:
-    flipped = [-v for v in values]
-    tails: list[int] = []          # longest non-decreasing run of the flipped values
-    tail_idx: list[int] = []
-    prev = [-1] * len(values)
-    for i, v in enumerate(flipped):
-        pos = bisect_left(tails, v + 1)  # allow equal values to extend a run
+        pos = find(tails, v)
         if pos == len(tails):
             tails.append(v)
             tail_idx.append(i)
@@ -113,8 +93,8 @@ def _exact_extract(values, coloring: str) -> tuple[list[int], int]:
     if coloring not in COLORINGS:
         raise ValueError(f"unknown coloring {coloring!r}")
     if coloring == "increasing_pairs":
-        inc = _longest_strictly_increasing(values)
-        dec = _longest_non_increasing(values)
+        inc = _longest_run(values, bisect_left)
+        dec = _longest_run([-v for v in values], bisect_right)  # non-increasing
         return (inc, 0) if len(inc) >= len(dec) else (dec, 1)
     counts = Counter(values)
     top = max(counts.values())
@@ -154,7 +134,8 @@ def homogeneous_pairs(values, coloring: str = "increasing_pairs") -> Homogeneous
     picked, color = _exact_extract(values, coloring)
     kind, value = _kind_of(values, picked, coloring, color)
     result = HomogeneousResult(tuple(picked), kind, value)
-    assert verify_result(values, result)
+    if not verify_result(values, result):
+        raise AssertionError(f"extracted set fails verification: {result}")
     return result
 
 
@@ -180,8 +161,10 @@ def constant_or_injective(values) -> HomogeneousResult:
                 seen.add(v)
                 picked_list.append(i)
         result = HomogeneousResult(tuple(picked_list), KIND_INJECTIVE, None)
-    assert len(result.indices) >= threshold
-    assert verify_result(values, result)
+    if len(result.indices) < threshold:
+        raise AssertionError(f"dichotomy set below ceil(sqrt(N)) = {threshold}: {result}")
+    if not verify_result(values, result):
+        raise AssertionError(f"dichotomy set fails verification: {result}")
     return result
 
 
@@ -216,7 +199,8 @@ def constant_or_increasing(stream, target: int, fuel: int) -> HomogeneousResult 
         bucket.append(i)
         if len(bucket) >= target:
             result = HomogeneousResult(tuple(bucket[:target]), KIND_CONSTANT, v)
-            assert verify_result(values, result)
+            if not verify_result(values, result):
+                raise AssertionError(f"stream witness fails verification: {result}")
             return result
         pos = bisect_left(tails, v)
         if pos == len(tails):
@@ -233,6 +217,7 @@ def constant_or_increasing(stream, target: int, fuel: int) -> HomogeneousResult 
                 out.append(j)
                 j = prev[j]
             result = HomogeneousResult(tuple(out[::-1]), KIND_STRICTLY_INCREASING, None)
-            assert verify_result(values, result)
+            if not verify_result(values, result):
+                raise AssertionError(f"stream witness fails verification: {result}")
             return result
     return None

@@ -117,7 +117,8 @@ class ADFamily:
 
     def intersection_size(self, i: int, j: int) -> int:
         depth = word_lcp(self.members[i].word, self.members[j].word)
-        assert depth is not None
+        if depth is None:
+            raise AssertionError(f"family members {i} and {j} share a word")
         return depth
 
 
@@ -465,7 +466,8 @@ def star_in_closure_check(family: ADFamily, blocked, neighborhood: OmegaStarSet)
         survivors = nf_difference(survivors, nf(family.members[idx]))
     survivors = nf_intersection(survivors, nf(neighborhood.omega))
     element = nf_enumerate(survivors, 1)
-    assert element, "almost-disjointness guarantees an infinite survivor set"
+    if not element:
+        raise AssertionError("almost-disjointness guarantees an infinite survivor set")
     return ClosureWitness(family, blocked, neighborhood, beta, element[0])
 
 
@@ -542,7 +544,8 @@ class EventualSequence:
 
 
 def _tail_nf(seq: EventualSequence) -> NormalForm:
-    assert isinstance(seq.tail, EnumerationTail)
+    if not isinstance(seq.tail, EnumerationTail):
+        raise AssertionError("expected an enumeration tail")
     x = nf(seq.tail.descriptor)
     if x.is_finite():
         raise UnsupportedDescriptorError("enumeration tail needs an infinite descriptor")

@@ -27,7 +27,7 @@ from revtop.descriptors import (
     nf_enumerate,
     word_contains,
 )
-from revtop.enumeration import catalog, enumerate_topologies_via_preorders
+from revtop.enumeration import catalog, enumerate_topologies_by_closure
 from revtop.order import (
     LEQ_METHODS,
     REVERSIBILITY_METHODS,
@@ -82,7 +82,7 @@ def test_criterion_1_enumeration_cross_validation():
     ok = True
     for n, count in EXPECTED_COUNTS.items():
         direct = catalog(n).topologies
-        oracle = enumerate_topologies_via_preorders(n)
+        oracle = enumerate_topologies_by_closure(n)
         ok = ok and len(direct) == count and direct == oracle
         if n <= 3:
             ok = ok and list(direct) == brute_force_topologies(n)
@@ -95,7 +95,7 @@ def test_criterion_1_enumeration_cross_validation():
 def test_criterion_1_enumeration_n5_flagged():
     start = time.time()
     direct = catalog(5).topologies
-    oracle = enumerate_topologies_via_preorders(5)
+    oracle = enumerate_topologies_by_closure(5)
     elapsed = time.time() - start
     ok = len(direct) == 6942 and direct == oracle and elapsed < 120.0
     report("criterion-1 enumeration n=5 (flagged)", ok,

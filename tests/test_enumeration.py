@@ -7,7 +7,7 @@ from revtop.enumeration import (
     catalog,
     enumerate_preorders,
     enumerate_topologies,
-    enumerate_topologies_via_preorders,
+    enumerate_topologies_by_closure,
     preorder_of_topology,
     topology_of_preorder,
 )
@@ -25,7 +25,7 @@ KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
 @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
 def test_both_enumerators_agree(n, count):
     direct = catalog(n).topologies
-    oracle = enumerate_topologies_via_preorders(n)
+    oracle = enumerate_topologies_by_closure(n)
     assert len(direct) == count
     assert direct == oracle
 
@@ -83,8 +83,8 @@ def test_orbit_partition(cat3, cat4):
         assert all(fact % s == 0 for s in sizes)
         for rep, members in cat.orbits.items():
             assert rep == members[0]
-            for m in members:
-                assert cat.orbit_of[m] == rep
+        # disjoint and covering
+        assert sorted(m for members in cat.orbits.values() for m in members) == list(cat.topologies)
 
 
 def test_orbit_count_matches_burnside(cat3):
@@ -103,6 +103,8 @@ def test_cap_enforced(monkeypatch):
     monkeypatch.setenv("REVTOP_MAX_N", "3")
     with pytest.raises(CapExceededError):
         enumerate_topologies(4)
+    with pytest.raises(CapExceededError):
+        enumerate_topologies_by_closure(4)
     for raw in ("not-a-number", "50", "-3"):
         monkeypatch.setenv("REVTOP_MAX_N", raw)
         with pytest.raises(TopologyError):

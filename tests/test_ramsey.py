@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -39,6 +41,8 @@ def test_pairs_on_decreasing_run():
     res = homogeneous_pairs(list(range(15, -1, -1)), "increasing_pairs")
     assert res.kind == KIND_NON_INCREASING
     assert len(res.indices) == 16
+    res = homogeneous_pairs([3, 2.5, 2.7, 2.2], "increasing_pairs")  # non-integer values
+    assert res.kind == KIND_NON_INCREASING and res.indices == (0, 2, 3)
 
 
 def test_pairs_distinct_coloring():
@@ -131,6 +135,16 @@ def test_constant_or_increasing_preconditions():
         constant_or_increasing(lambda i: i, 0, 10)
     with pytest.raises(ValueError):
         constant_or_increasing(lambda i: i, 5, 4)
+
+
+def test_self_check_survives_optimisation():
+    code = ("import revtop.ramsey as r\n"
+            "r.verify_result = lambda values, result: False\n"
+            "r.homogeneous_pairs([3, 1, 2])\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
 
 
 def test_verifier_rejects_bad_claims():
