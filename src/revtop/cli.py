@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: enum, classify, order, verify, witness, ostar, ramsey.
-Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error.
+Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
+3 internal error (a self-check of a computed result failed).
 All randomized suites take --seed and produce byte-identical output for a
 fixed seed; files are written atomically.
 """
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
     except (TopologyError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except AssertionError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ computed on normal forms, never approximated.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -23,38 +24,20 @@ class UnsupportedDescriptorError(ValueError):
     """
 
 
-class _Star:
-    """The added limit point of the convergent-sequence ground set."""
+class _Point:
+    """A named point adjoined to a ground set; compared by identity."""
 
-    _instance = None
+    __slots__ = ("_name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self):
-        return "star"
+        return self._name
 
 
-STAR = _Star()
-
-
-class _ZFirst:
-    """The first element adjoined below the integer line."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "z"
-
-
-Z_FIRST = _ZFirst()
+STAR = _Point("star")  # the added limit point of the convergent-sequence ground set
+Z_FIRST = _Point("z")  # the first element adjoined below the integer line
 
 
 # ---------------------------------------------------------------------------
@@ -205,36 +188,38 @@ OMEGA_SET = CofiniteSet(())
 
 
 # ---------------------------------------------------------------------------
-# normal forms: finite | cofinite | branches +- finite | complement thereof
+# normal forms: a core of branches plus and minus finitely many points,
+# or the complement of such a core
 # ---------------------------------------------------------------------------
-
-_KIND_ORDER = {"finite": 0, "cofinite": 1, "branches": 2, "co_branches": 3}
-_COMPLEMENT_KIND = {"finite": "cofinite", "cofinite": "finite",
-                    "branches": "co_branches", "co_branches": "branches"}
-
 
 @dataclass(frozen=True)
 class NormalForm:
     """Canonical form of a describable subset of the naturals.
 
-    finite:       the set is `plus`
-    cofinite:     the set is everything except `plus`
-    branches:     (union of the branch sets of `words`, plus `plus`,
-                   minus `minus`); plus lies outside the branch region and
-                   minus inside it
-    co_branches:  the complement of the corresponding branches form
+    The core is the union of the branch sets of `words`, plus the points
+    `plus`, minus the points `minus`; `plus` lies outside the branch region
+    and `minus` inside it, and `words` is sorted.  The set is the core, or
+    its complement when `complemented` is true.  With no words the set is
+    finite (`plus`) or cofinite (everything except `plus`).
     """
 
-    kind: str
+    complemented: bool
     words: tuple[Word, ...]
     plus: frozenset[int]
     minus: frozenset[int]
 
+    @property
+    def kind(self) -> str:
+        """One of finite, cofinite, branches and co_branches."""
+        if self.words:
+            return "co_branches" if self.complemented else "branches"
+        return "cofinite" if self.complemented else "finite"
+
     def is_finite(self) -> bool:
-        return self.kind == "finite"
+        return not self.words and not self.complemented
 
     def is_cofinite(self) -> bool:
-        return self.kind == "cofinite"
+        return not self.words and self.complemented
 
 
 def _in_region(words: tuple[Word, ...], k: int) -> bool:
@@ -242,113 +227,76 @@ def _in_region(words: tuple[Word, ...], k: int) -> bool:
 
 
 def nf_member(x: NormalForm, k: int) -> bool:
-    if x.kind == "finite":
-        return k in x.plus
-    if x.kind == "cofinite":
-        return k not in x.plus
     inside = k in x.plus or (_in_region(x.words, k) and k not in x.minus)
-    return inside if x.kind == "branches" else not inside
-
-
-def _branchlike(words, candidates, member) -> NormalForm:
-    words = tuple(sorted(set(words), key=Word.sort_key))
-    if not words:
-        return NormalForm("finite", (), frozenset(e for e in candidates if member(e)),
-                          frozenset())
-    plus, minus = set(), set()
-    for e in candidates:
-        if member(e):
-            if not _in_region(words, e):
-                plus.add(e)
-        elif _in_region(words, e):
-            minus.add(e)
-    return NormalForm("branches", words, frozenset(plus), frozenset(minus))
+    return inside != x.complemented
 
 
 def nf_complement(x: NormalForm) -> NormalForm:
-    return NormalForm(_COMPLEMENT_KIND[x.kind], x.words, x.plus, x.minus)
+    return NormalForm(not x.complemented, x.words, x.plus, x.minus)
 
 
-def _cross_candidates(x: NormalForm, y: NormalForm) -> set[int]:
+def _combine(x: NormalForm, y: NormalForm, op) -> NormalForm:
+    """Normal form of {k : op(k in x, k in y)} for a boolean operation op.
+
+    Away from the finitely many listed points every branch point behaves
+    like a deep point of its branch, so a word is kept iff op differs from
+    the result's flag there.  The exceptions can only be the operands'
+    listed points and the points two words of different operands share.
+    """
+    flag = op(x.complemented, y.complemented)
+    words = tuple(sorted(
+        (w for w in set(x.words) | set(y.words)
+         if op(x.complemented != (w in x.words),
+               y.complemented != (w in y.words)) != flag),
+        key=Word.sort_key))
     cands = set(x.plus) | x.minus | y.plus | y.minus
     for w in x.words:
         for v in y.words:
             if w != v:
-                cands |= set(shared_codes(w, v))
-    return cands
-
-
-def _diff_branches(x: NormalForm, y: NormalForm) -> NormalForm:
-    keep = tuple(w for w in x.words if w not in y.words)
-    cands = _cross_candidates(x, y)
-    return _branchlike(keep, cands, lambda e: nf_member(x, e) and not nf_member(y, e))
-
-
-def _intersect_branches(x: NormalForm, y: NormalForm) -> NormalForm:
-    keep = tuple(w for w in x.words if w in y.words)
-    cands = _cross_candidates(x, y)
-    return _branchlike(keep, cands, lambda e: nf_member(x, e) and nf_member(y, e))
+                cands.update(shared_codes(w, v))
+    plus, minus = set(), set()
+    for e in cands:
+        if op(nf_member(x, e), nf_member(y, e)) != flag:
+            if not _in_region(words, e):
+                plus.add(e)
+        elif _in_region(words, e):
+            minus.add(e)
+    return NormalForm(flag, words, frozenset(plus), frozenset(minus))
 
 
 def nf_union(x: NormalForm, y: NormalForm) -> NormalForm:
-    if _KIND_ORDER[x.kind] > _KIND_ORDER[y.kind]:
-        x, y = y, x
-    kx, ky = x.kind, y.kind
-    if kx == "finite":
-        if ky == "finite":
-            return NormalForm("finite", (), x.plus | y.plus, frozenset())
-        if ky == "cofinite":
-            return NormalForm("cofinite", (), y.plus - x.plus, frozenset())
-        if ky == "branches":
-            cands = set(x.plus) | y.plus | y.minus
-            return _branchlike(y.words, cands,
-                               lambda e: e in x.plus or nf_member(y, e))
-        inner = nf_complement(y)  # branches
-        cands = set(x.plus) | inner.plus | inner.minus
-        stripped = _branchlike(inner.words, cands,
-                               lambda e: nf_member(inner, e) and e not in x.plus)
-        return nf_complement(stripped)
-    if kx == "cofinite":
-        # complement of (excluded \ y), for y of any kind
-        keep = frozenset(e for e in x.plus if not nf_member(y, e))
-        return NormalForm("cofinite", (), keep, frozenset())
-    if kx == "branches":
-        if ky == "branches":
-            words = tuple(set(x.words) | set(y.words))
-            cands = set(x.plus) | x.minus | y.plus | y.minus
-            return _branchlike(words, cands,
-                               lambda e: nf_member(x, e) or nf_member(y, e))
-        inner = nf_complement(y)  # branches
-        return nf_complement(_diff_branches(inner, x))
-    # co_branches with co_branches
-    return nf_complement(_intersect_branches(nf_complement(x), nf_complement(y)))
+    return _combine(x, y, operator.or_)
 
 
 def nf_intersection(x: NormalForm, y: NormalForm) -> NormalForm:
-    return nf_complement(nf_union(nf_complement(x), nf_complement(y)))
+    return _combine(x, y, operator.and_)
 
 
 def nf_difference(x: NormalForm, y: NormalForm) -> NormalForm:
-    return nf_intersection(x, nf_complement(y))
+    return _combine(x, y, lambda a, b: a and not b)
+
+
+def _finite_nf(points) -> NormalForm:
+    return NormalForm(False, (), frozenset(points), frozenset())
 
 
 @lru_cache(maxsize=8192)
 def nf(d: SetDescriptor) -> NormalForm:
     """Normal form of a descriptor over the naturals."""
     if isinstance(d, FiniteSet):
-        return NormalForm("finite", (), frozenset(d.elements), frozenset())
+        return _finite_nf(d.elements)
     if isinstance(d, CofiniteSet):
-        return NormalForm("cofinite", (), frozenset(d.excluded), frozenset())
+        return nf_complement(_finite_nf(d.excluded))
     if isinstance(d, BranchSet):
-        return NormalForm("branches", (d.word,), frozenset(), frozenset())
+        return NormalForm(False, (d.word,), frozenset(), frozenset())
     if isinstance(d, UnionSet):
-        acc = NormalForm("finite", (), frozenset(), frozenset())
+        acc = _finite_nf(())
         for part in d.parts:
             acc = nf_union(acc, nf(part))
         return acc
     if isinstance(d, IntersectionSet):
         if not d.parts:
-            return NormalForm("cofinite", (), frozenset(), frozenset())
+            return nf_complement(_finite_nf(()))
         acc = nf(d.parts[0])
         for part in d.parts[1:]:
             acc = nf_intersection(acc, nf(part))
@@ -366,56 +314,43 @@ def nf_enumerate(x: NormalForm, count: int) -> tuple[int, ...]:
     """First `count` elements in increasing order (fewer if the set is smaller)."""
     if count <= 0:
         return ()
-    if x.kind == "finite":
-        return tuple(sorted(x.plus))[:count]
     out: list[int] = []
-    if x.kind == "cofinite":
+    if x.complemented:
         k = 0
         while len(out) < count:
-            if k not in x.plus:
+            if nf_member(x, k):
                 out.append(k)
             k += 1
         return tuple(out)
-    if x.kind == "branches":
-        streams = [branch_codes(w) for w in x.words]
-        streams.append(iter(sorted(x.plus)))
-        last = None
-        for e in heapq.merge(*streams):
-            if e == last:
-                continue
-            last = e
-            if e in x.minus:
-                continue
-            out.append(e)
-            if len(out) == count:
-                break
-        return tuple(out)
-    k = 0
-    while len(out) < count:
-        if nf_member(x, k):
-            out.append(k)
-        k += 1
+    streams = [branch_codes(w) for w in x.words]
+    streams.append(iter(sorted(x.plus)))
+    last = None
+    for e in heapq.merge(*streams):
+        if e == last:
+            continue
+        last = e
+        if e in x.minus:
+            continue
+        out.append(e)
+        if len(out) == count:
+            break
     return tuple(out)
 
 
 def descriptor_of_nf(x: NormalForm) -> SetDescriptor:
     """A descriptor denoting exactly the normal form (round-trip inverse of nf)."""
-    if x.kind == "finite":
-        return FiniteSet(tuple(x.plus))
-    if x.kind == "cofinite":
-        return CofiniteSet(tuple(x.plus))
+    if not x.words:
+        return CofiniteSet(tuple(x.plus)) if x.complemented else FiniteSet(tuple(x.plus))
     core: SetDescriptor
     branches = tuple(BranchSet(w) for w in x.words)
     if len(branches) == 1 and not x.plus:
         core = branches[0]
     else:
         parts = branches + ((FiniteSet(tuple(x.plus)),) if x.plus else ())
-        core = parts[0] if len(parts) == 1 else UnionSet(parts)
+        core = UnionSet(parts)
     if x.minus:
         core = DifferenceSet(core, FiniteSet(tuple(x.minus)))
-    if x.kind == "branches":
-        return core
-    return DifferenceSet(OMEGA_SET, core)
+    return DifferenceSet(OMEGA_SET, core) if x.complemented else core
 
 
 # ---------------------------------------------------------------------------
@@ -751,9 +686,8 @@ def flatten_fin_support(f: SymbolicMap) -> FinSupportPerm:
 def image_nf_omega(f: FinSupportPerm, x: NormalForm) -> NormalForm:
     """Exact image of a natural-number set under a finite-support permutation."""
     support = f.support
-    outside = nf_difference(x, NormalForm("finite", (), frozenset(support), frozenset()))
-    mapped = frozenset(f.apply(e) for e in support if nf_member(x, e))
-    return nf_union(outside, NormalForm("finite", (), mapped, frozenset()))
+    outside = nf_difference(x, _finite_nf(support))
+    return nf_union(outside, _finite_nf(f.apply(e) for e in support if nf_member(x, e)))
 
 
 def image_z_descriptor(f: ShiftZ, d: ZDescriptor) -> ZDescriptor:

@@ -39,14 +39,14 @@ def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
     All four methods are equivalent; each is implemented independently so
     they can be tested against one another.
     """
-    cls = homeo_class(t)
-    t_set = frozenset(t.opens)
     if method == "no_coarser":
-        return not any(u != t and _opens_subset(u, t_set) for u in cls)
+        t_set = frozenset(t.opens)
+        return not any(u != t and _opens_subset(u, t_set) for u in homeo_class(t))
     if method == "no_finer":
-        return not any(u != t and _opens_subset(t, frozenset(u.opens)) for u in cls)
+        return not any(u != t and _opens_subset(t, frozenset(u.opens))
+                       for u in homeo_class(t))
     if method == "antichain":
-        sets = [frozenset(u.opens) for u in cls]
+        sets = [frozenset(u.opens) for u in homeo_class(t)]
         for i, a in enumerate(sets):
             for b in sets[i + 1:]:
                 if a <= b or b <= a:
@@ -215,11 +215,6 @@ class ChainReport:
 
     chains: tuple[tuple[FiniteTopology, ...], ...]
     all_singletons: bool
-
-    @property
-    def consistent(self) -> bool:
-        # a class of a reversible topology must decompose into singleton chains
-        return self.all_singletons
 
 
 def maximal_chains_and_endpoints(members) -> ChainReport:

@@ -69,8 +69,6 @@ class CoSmall:
     """Opens are the empty set and all cofinite sets (the countable instance
     of the complements-of-small-sets family, small meaning finite)."""
 
-    small_bound: str = "omega"
-
 
 @dataclass(frozen=True)
 class OrderedZ:
@@ -208,12 +206,7 @@ def image_descriptor(f: SymbolicMap, d):
     if isinstance(d, OmegaStarSet):
         return OmegaStarSet(image_descriptor(f, d.omega), d.star)
     if isinstance(d, SetDescriptor):
-        perm = flatten_fin_support(f)
-        if isinstance(d, FiniteSet):
-            return FiniteSet(tuple(perm.apply(e) for e in d.elements))
-        if isinstance(d, CofiniteSet):
-            return CofiniteSet(tuple(perm.apply(e) for e in d.excluded))
-        return descriptor_of_nf(image_nf_omega(perm, nf(d)))
+        return descriptor_of_nf(image_nf_omega(flatten_fin_support(f), nf(d)))
     if isinstance(d, ZDescriptor):
         if isinstance(f, ShiftZ):
             return image_z_descriptor(f, d)

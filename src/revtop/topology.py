@@ -78,24 +78,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def mask_of(points) -> int:
-    m = 0
-    for p in points:
-        m |= 1 << p
-    return m
-
-
-def points_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 @dataclass(frozen=True, order=True)
 class FiniteTopology:
     """A topology as the strictly sorted tuple of its open sets (bit masks).
@@ -129,16 +111,6 @@ class FiniteTopology:
     @property
     def full(self) -> int:
         return full_mask(self.n)
-
-    def is_open(self, mask: int) -> bool:
-        return mask in self.opens
-
-    def is_closed(self, mask: int) -> bool:
-        return (self.full ^ mask) in self.opens
-
-    def closed_sets(self) -> tuple[int, ...]:
-        full = self.full
-        return tuple(sorted(full ^ o for o in self.opens))
 
     def to_json(self) -> dict:
         return {"n": self.n, "opens": list(self.opens)}

@@ -142,6 +142,17 @@ def test_ramsey_not_found_exit_code():
     assert json.loads(proc.stdout) == {"found": False}
 
 
+def test_failed_self_check_is_internal_error(tmp_path, monkeypatch, capsys):
+    import revtop.ramsey
+    from revtop.cli import main
+    source = tmp_path / "vals.txt"
+    source.write_text("3 1 2\n")
+    monkeypatch.setattr(revtop.ramsey, "verify_result", lambda values, result: False)
+    assert main(["ramsey", "--mode", "pairs", str(source)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "internal error: extracted set fails verification: ")
+
+
 @pytest.mark.parametrize("args,stdin", [
     (("enum", "--n", "3", "--format", "json"), ""),
     (("classify", "--n", "3", "--format", "csv"), ""),

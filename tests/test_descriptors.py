@@ -186,6 +186,19 @@ def test_de_morgan_on_normal_forms(a, b):
     assert nf_complement(nf_complement(inter)) == inter
 
 
+@given(descriptors(), descriptors(), descriptors())
+@settings(max_examples=150, deadline=None)
+def test_normal_form_is_canonical(a, b, c):
+    # one set gets one normal form, whichever expression builds it
+    omega = CofiniteSet(())
+    assert nf(UnionSet((a, b))) == nf(UnionSet((b, a)))
+    assert nf(IntersectionSet((a, b))) == nf(IntersectionSet((b, a)))
+    assert nf(IntersectionSet((UnionSet((a, b)), c))) == nf(
+        UnionSet((IntersectionSet((a, c)), IntersectionSet((b, c)))))
+    assert nf(DifferenceSet(a, b)) == nf(IntersectionSet((a, DifferenceSet(omega, b))))
+    assert nf(UnionSet((a, IntersectionSet((a, b))))) == nf(a)
+
+
 def test_normal_form_canonical_identities():
     b = BranchSet(Word("", "01"))
     assert nf(UnionSet((b, DifferenceSet(CofiniteSet(()), b)))) == nf(CofiniteSet(()))
