@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: enum, classify, order, verify, witness, ostar, ramsey.
-Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
-3 internal error (a self-check of a computed result failed).
+Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error
+(including a verification that would check nothing: an empty suite list
+or --samples below 1), 3 internal error (a self-check of a computed
+result failed).
 All randomized suites take --seed and produce byte-identical output for a
 fixed seed; files are written atomically.
 """
@@ -103,8 +105,16 @@ def cmd_order(args) -> int:
     return 0
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
+
+
 def cmd_verify(args) -> int:
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not names:
+        raise ValueError(f"--suite {args.suite!r} names no suite")
+    _require_samples(args.samples)
     results = run_suites(names, args.n, seed=args.seed, samples=args.samples)
     for res in results:
         sys.stdout.write(res.summary() + "\n")
@@ -127,6 +137,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_ostar(args) -> int:
+    _require_samples(args.samples)
     rng = random.Random(args.seed)
     family = sym.ad_family(args.family_size)
     refined = sym.construct_o_star(family)

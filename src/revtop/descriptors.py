@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -241,7 +242,9 @@ def _combine(x: NormalForm, y: NormalForm, op) -> NormalForm:
     Away from the finitely many listed points every branch point behaves
     like a deep point of its branch, so a word is kept iff op differs from
     the result's flag there.  The exceptions can only be the operands'
-    listed points and the points two words of different operands share.
+    listed points and the points two words of different operands share;
+    an unlisted shared point is in both cores, so when op keeps it inside
+    the result's core a kept word already covers it.
     """
     flag = op(x.complemented, y.complemented)
     words = tuple(sorted(
@@ -249,10 +252,12 @@ def _combine(x: NormalForm, y: NormalForm, op) -> NormalForm:
          if op(x.complemented != (w in x.words),
                y.complemented != (w in y.words)) != flag),
         key=Word.sort_key))
+    inside = op(not x.complemented, not y.complemented) != flag
+    kept = set(words)
     cands = set(x.plus) | x.minus | y.plus | y.minus
     for w in x.words:
         for v in y.words:
-            if w != v:
+            if w != v and not (inside and (w in kept or v in kept)):
                 cands.update(shared_codes(w, v))
     plus, minus = set(), set()
     for e in cands:
@@ -354,7 +359,8 @@ def descriptor_of_nf(x: NormalForm) -> SetDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# descriptors over the integer line with a first element z
+# descriptors over the integer line with a first element z; a set is stored
+# as the points where its membership switches
 # ---------------------------------------------------------------------------
 
 class ZDescriptor:
@@ -416,27 +422,16 @@ class DifferenceZ(ZDescriptor):
 class ZNormalForm:
     """Canonical form of a describable subset of {z} + the integers.
 
-    The integer part is a ray or trivial base adjusted by finitely many
-    points; rays absorb their boundary so each set has a unique form:
-    `left` rays carry no plus points above and end exactly at their top,
-    `right` rays mirror that.
+    `has_first` says whether z is in the set and `low` whether the integers
+    far to the left are.  `switches` is the sorted tuple of the integers p
+    whose membership differs from that of p - 1, so each set has exactly
+    one form, and its size is the number of boundaries, not the number of
+    integers between them.
     """
 
     has_first: bool
-    base: str  # "empty" | "left" | "right" | "all"
-    bound: int | None
-    plus: frozenset[int]
-    minus: frozenset[int]
-
-
-def _z_region(base: str, bound: int | None, e: int) -> bool:
-    if base == "empty":
-        return False
-    if base == "all":
-        return True
-    if base == "left":
-        return e < bound
-    return e >= bound
+    low: bool
+    switches: tuple[int, ...]
 
 
 def z_nf_member(x: ZNormalForm, p) -> bool:
@@ -444,106 +439,50 @@ def z_nf_member(x: ZNormalForm, p) -> bool:
         return x.has_first
     if not isinstance(p, int):
         raise UnsupportedDescriptorError(f"not a point of the z-extended line: {p!r}")
-    if p in x.plus:
-        return True
-    return _z_region(x.base, x.bound, p) and p not in x.minus
+    return x.low != (bisect_right(x.switches, p) % 2 == 1)
 
 
-def _z_make(has_first: bool, base: str, bound: int | None,
-            candidates, member) -> ZNormalForm:
-    plus, minus = set(), set()
-    for e in candidates:
-        if member(e):
-            if not _z_region(base, bound, e):
-                plus.add(e)
-        elif _z_region(base, bound, e):
-            minus.add(e)
-    if base == "left" and plus:
-        top = max(plus)
-        minus |= set(range(bound, top + 1)) - plus
-        bound = top + 1
-        plus = set()
-    if base == "right" and plus:
-        bottom = min(plus)
-        minus |= set(range(bottom, bound)) - plus
-        bound = bottom
-        plus = set()
-    if base == "left":
-        while bound - 1 in minus:
-            minus.discard(bound - 1)
-            bound -= 1
-    if base == "right":
-        while bound in minus:
-            minus.discard(bound)
-            bound += 1
-    return ZNormalForm(has_first, base, bound, frozenset(plus), frozenset(minus))
+def _z_combine(x: ZNormalForm, y: ZNormalForm, op) -> ZNormalForm:
+    """Normal form of {p : op(p in x, p in y)} for a boolean operation op.
 
-
-def z_nf_complement(x: ZNormalForm) -> ZNormalForm:
-    flip = {"empty": "all", "all": "empty", "left": "right", "right": "left"}
-    cands = x.plus | x.minus
-    return _z_make(not x.has_first, flip[x.base], x.bound, cands,
-                   lambda e: not z_nf_member(x, e))
-
-
-def z_nf_union(x: ZNormalForm, y: ZNormalForm) -> ZNormalForm:
-    gap: set[int] = set()
-    bases = {x.base, y.base}
-    if x.base == "empty":
-        base, bound = y.base, y.bound
-    elif y.base == "empty":
-        base, bound = x.base, x.bound
-    elif "all" in bases:
-        base, bound = "all", None
-    elif x.base == y.base == "left":
-        base, bound = "left", max(x.bound, y.bound)
-    elif x.base == y.base == "right":
-        base, bound = "right", min(x.bound, y.bound)
-    else:
-        left, right = (x, y) if x.base == "left" else (y, x)
-        base, bound = "all", None
-        if right.bound > left.bound:
-            gap = set(range(left.bound, right.bound))
-    cands = x.plus | x.minus | y.plus | y.minus | gap
-    return _z_make(x.has_first or y.has_first, base, bound, cands,
-                   lambda e: z_nf_member(x, e) or z_nf_member(y, e))
-
-
-def z_nf_intersection(x: ZNormalForm, y: ZNormalForm) -> ZNormalForm:
-    return z_nf_complement(z_nf_union(z_nf_complement(x), z_nf_complement(y)))
-
-
-def z_nf_difference(x: ZNormalForm, y: ZNormalForm) -> ZNormalForm:
-    return z_nf_intersection(x, z_nf_complement(y))
+    Membership of the result can change only where an operand's does, so
+    its switches are the operands' switch points at which op changes value.
+    """
+    low = inside = op(x.low, y.low)
+    switches = []
+    for p in sorted(set(x.switches) | set(y.switches)):
+        if op(z_nf_member(x, p), z_nf_member(y, p)) != inside:
+            switches.append(p)
+            inside = not inside
+    return ZNormalForm(op(x.has_first, y.has_first), low, tuple(switches))
 
 
 @lru_cache(maxsize=8192)
 def z_nf(d: ZDescriptor) -> ZNormalForm:
-    empty = frozenset()
     if isinstance(d, EmptyZ):
-        return ZNormalForm(False, "empty", None, empty, empty)
+        return ZNormalForm(False, False, ())
     if isinstance(d, AllZ):
-        return ZNormalForm(True, "all", None, empty, empty)
+        return ZNormalForm(True, True, ())
     if isinstance(d, ClosedLeftZ):
-        return ZNormalForm(True, "left", d.a, empty, empty)
+        return ZNormalForm(True, True, (d.a,))
     if isinstance(d, OpenLeftZ):
-        return ZNormalForm(False, "left", d.b, empty, empty)
+        return ZNormalForm(False, True, (d.b,))
     if isinstance(d, FiniteZ):
-        return ZNormalForm(d.has_first, "empty", None, frozenset(d.ints), empty)
+        # p switches iff exactly one of p and p - 1 is listed
+        return ZNormalForm(d.has_first, False,
+                           tuple(sorted(set(d.ints) ^ {e + 1 for e in d.ints})))
     if isinstance(d, UnionZ):
-        acc = ZNormalForm(False, "empty", None, empty, empty)
+        acc = z_nf(EmptyZ())
         for part in d.parts:
-            acc = z_nf_union(acc, z_nf(part))
+            acc = _z_combine(acc, z_nf(part), operator.or_)
         return acc
     if isinstance(d, IntersectionZ):
-        if not d.parts:
-            return ZNormalForm(True, "all", None, empty, empty)
-        acc = z_nf(d.parts[0])
-        for part in d.parts[1:]:
-            acc = z_nf_intersection(acc, z_nf(part))
+        acc = z_nf(AllZ())
+        for part in d.parts:
+            acc = _z_combine(acc, z_nf(part), operator.and_)
         return acc
     if isinstance(d, DifferenceZ):
-        return z_nf_difference(z_nf(d.left), z_nf(d.right))
+        return _z_combine(z_nf(d.left), z_nf(d.right), lambda a, b: a and not b)
     raise UnsupportedDescriptorError(f"not a descriptor over the z-extended line: {d!r}")
 
 
@@ -557,14 +496,10 @@ def as_initial_segment(x: ZNormalForm):
     Returns ("empty", None), ("all", None), ("closedleft", a) or
     ("openleft", b) when the set is exactly of that shape, else None.
     """
-    if x.plus or x.minus:
-        return None
-    if x.base == "empty":
-        return None if x.has_first else ("empty", None)
-    if x.base == "all":
-        return ("all", None) if x.has_first else None
-    if x.base == "left":
-        return ("closedleft", x.bound) if x.has_first else ("openleft", x.bound)
+    if not x.switches and x.low == x.has_first:
+        return ("all" if x.low else "empty", None)
+    if len(x.switches) == 1 and x.low:
+        return ("closedleft" if x.has_first else "openleft", x.switches[0])
     return None
 
 

@@ -81,6 +81,20 @@ def test_verify_unknown_suite_is_usage_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "--suite", ",", "--n", "3"),
+    ("verify", "--suite", "fact12", "--n", "4", "--samples", "0"),
+    ("verify", "--suite", "fact12", "--n", "4", "--samples", "-5"),
+    ("ostar", "--check", "closure", "--samples", "-3"),
+    ("ostar", "--check", "blocking", "--samples", "0"),
+])
+def test_checking_nothing_is_usage_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: ")
+    assert proc.stdout == b""
+
+
 def test_usage_errors():
     proc = run_cli("no-such-command")
     assert proc.returncode == 2

@@ -233,12 +233,16 @@ def test_cardinality_classification():
 
 # --- z-line descriptors -----------------------------------------------------
 
+FAR = 10**6  # a ray bound far from the others: nothing may list the gap between them
+
+
 def z_leaves():
+    bounds = st.one_of(st.integers(-8, 8), st.sampled_from((-FAR, FAR)))
     return st.one_of(
         st.just(EmptyZ()),
         st.just(AllZ()),
-        st.builds(ClosedLeftZ, st.integers(-8, 8)),
-        st.builds(OpenLeftZ, st.integers(-8, 8)),
+        st.builds(ClosedLeftZ, bounds),
+        st.builds(OpenLeftZ, bounds),
         st.builds(lambda f, xs: FiniteZ(f, tuple(xs)),
                   st.booleans(), st.lists(st.integers(-8, 8), max_size=3)),
     )
@@ -255,7 +259,7 @@ def z_descriptors():
         max_leaves=6)
 
 
-Z_WINDOW = list(range(-25, 26)) + [Z_FIRST]
+Z_WINDOW = list(range(-25, 26)) + [-FAR - 1, -FAR, FAR - 1, FAR] + [Z_FIRST]
 
 
 def eval_z(d, window=None):
@@ -302,8 +306,14 @@ def test_z_normal_form_membership_homomorphism(d):
 def test_z_normal_form_is_canonical(a, b):
     # same denotation on a window wide enough to separate all bounds used
     same = eval_z(a) == eval_z(b)
-    if z_nf(a) == z_nf(b):
-        assert same
+    assert (z_nf(a) == z_nf(b)) == same
+
+
+def test_z_normal_form_size_counts_boundaries():
+    point_far_right = UnionZ((OpenLeftZ(0), FiniteZ(False, (FAR,))))
+    assert z_nf(point_far_right).switches == (0, FAR, FAR + 1)
+    ray_far_right = UnionZ((OpenLeftZ(0), DifferenceZ(AllZ(), ClosedLeftZ(FAR))))
+    assert z_nf(ray_far_right).switches == (0, FAR)
 
 
 @given(st.integers(-10, 10), st.integers(-10, 10))
@@ -323,7 +333,7 @@ def test_as_initial_segment_classification():
     assert as_initial_segment(z_nf(OpenLeftZ(-2))) == ("openleft", -2)
     assert as_initial_segment(z_nf(FiniteZ(False, (3,)))) is None
     assert as_initial_segment(z_nf(DifferenceZ(ClosedLeftZ(5), FiniteZ(False, (0,))))) is None
-    # boundary absorption keeps the classification semantic
+    # the classification reads the set, not the expression that built it
     patched = UnionZ((OpenLeftZ(3), FiniteZ(False, (3,))))
     assert as_initial_segment(z_nf(patched)) == ("openleft", 4)
 
