@@ -67,11 +67,12 @@ def cmd_classify(args) -> int:
     cat = catalog(args.n)
     rows = []
     for rep in cat.orbit_reps:
+        cls = cat.orbits[rep]
         rows.append({
             "opens": list(rep.opens),
-            "orbit_size": len(cat.orbits[rep]),
-            "reversible": is_reversible(rep),
-            "weakly_reversible": is_weakly_reversible(rep, cat),
+            "orbit_size": len(cls),
+            "reversible": is_reversible(rep, cls=cls),
+            "weakly_reversible": is_weakly_reversible(rep, cat, cls),
             "strongly_reversible": is_strongly_reversible(rep),
             "classification": classify_strongly_reversible(rep).value,
         })

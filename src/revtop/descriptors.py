@@ -247,10 +247,11 @@ def _combine(x: NormalForm, y: NormalForm, op) -> NormalForm:
     the result's core a kept word already covers it.
     """
     flag = op(x.complemented, y.complemented)
+    x_words, y_words = frozenset(x.words), frozenset(y.words)
     words = tuple(sorted(
-        (w for w in set(x.words) | set(y.words)
-         if op(x.complemented != (w in x.words),
-               y.complemented != (w in y.words)) != flag),
+        (w for w in x_words | y_words
+         if op(x.complemented != (w in x_words),
+               y.complemented != (w in y_words)) != flag),
         key=Word.sort_key))
     inside = op(not x.complemented, not y.complemented) != flag
     kept = set(words)

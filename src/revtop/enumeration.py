@@ -8,14 +8,15 @@ Both must produce identical catalogs (1, 1, 4, 29, 355, 6942 for n = 0..5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .topology import (
     FiniteTopology,
     TopologyError,
     check_ground,
     full_mask,
-    homeo_class,
+    opens_bitset,
+    orbit_opens,
 )
 
 
@@ -118,7 +119,13 @@ def preorder_of_topology(t: FiniteTopology) -> Preorder:
 def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
     """Independent cross-check of the catalog: saturate from the antidiscrete
     topology by adding one generator set at a time and closing under
-    intersections and unions.  Sorted like the catalog."""
+    intersections and unions.  Sorted like the catalog.
+
+    For a topology T (a lattice of sets with the empty and full set) the
+    closure of T with one more set s is {a | (b & s) : a, b in T}: that
+    family contains T and s and is closed under both operations, since
+    unions and intersections of sets distribute over each other.
+    """
     check_ground(n)
     full = full_mask(n)
     start = (0, full) if full else (0,)
@@ -131,17 +138,8 @@ def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
             for s in range(1, full):
                 if s in base:
                     continue
-                fam = set(base)
-                fam.add(s)
-                stack = [s]
-                while stack:
-                    x = stack.pop()
-                    for y in list(fam):
-                        for z in (x | y, x & y):
-                            if z not in fam:
-                                fam.add(z)
-                                stack.append(z)
-                key = tuple(sorted(fam))
+                cuts = {b & s for b in opens}
+                key = tuple(sorted({a | c for a in opens for c in cuts}))
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append(key)
@@ -175,18 +173,31 @@ class TopologyCatalog:
     def orbit_sizes(self) -> tuple[int, ...]:
         return tuple(len(self.orbits[r]) for r in self.orbit_reps)
 
+    @cached_property
+    def by_open_count(self) -> dict[int, tuple[tuple[int, ...], tuple[FiniteTopology, ...]]]:
+        """Members grouped by their number of opens: for each count, the
+        members' :func:`opens_bitset` values and the members in the same
+        order.  Built once per catalog, for convex hulls."""
+        groups: dict[int, tuple[list[int], list[FiniteTopology]]] = {}
+        for t in self.topologies:
+            bits, members = groups.setdefault(len(t.opens), ([], []))
+            bits.append(opens_bitset(t))
+            members.append(t)
+        return {k: (tuple(bits), tuple(members)) for k, (bits, members) in groups.items()}
+
 
 def enumerate_topologies(n: int) -> TopologyCatalog:
-    """Catalog of all topologies on n points, built from the preorders."""
+    """Catalog of all topologies on n points, built from the preorders.
+
+    Each orbit lists the catalog's own values, found by their open families,
+    so no topology is built twice."""
     topologies = enumerate_topologies_via_preorders(n)
     orbits: dict[FiniteTopology, tuple[FiniteTopology, ...]] = {}
-    seen: set[FiniteTopology] = set()
+    unseen = {t.opens: t for t in topologies}
     for t in topologies:
-        if t in seen:
-            continue
-        members = homeo_class(t)
-        orbits[members[0]] = members
-        seen.update(members)
+        if t.opens in unseen:
+            members = tuple(unseen.pop(o) for o in orbit_opens(t))
+            orbits[members[0]] = members
     reps = tuple(sorted(orbits))
     return TopologyCatalog(n, topologies, reps, orbits)
 

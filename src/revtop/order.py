@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
+from operator import itemgetter
 
 from .enumeration import TopologyCatalog, catalog
 from .topology import (
@@ -23,6 +24,8 @@ from .topology import (
     is_condensation,
     is_homeomorphism,
     mask_tables,
+    opens_bitset,
+    preimages_open,
 )
 
 REVERSIBILITY_METHODS = ("no_coarser", "no_finer", "antichain", "direct")
@@ -33,20 +36,24 @@ def _opens_subset(a: FiniteTopology, b_set: frozenset[int]) -> bool:
     return all(o in b_set for o in a.opens)
 
 
-def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
+def is_reversible(t: FiniteTopology, method: str = "antichain",
+                  cls: tuple[FiniteTopology, ...] | None = None) -> bool:
     """Is every continuous self-bijection of (X, t) a homeomorphism?
 
     All four methods are equivalent; each is implemented independently so
-    they can be tested against one another.
+    they can be tested against one another.  The three that read the
+    homeomorphism class take it from cls when given (a catalog orbit)
+    instead of rebuilding it; "direct" searches the permutations itself.
     """
+    if method in ("no_coarser", "no_finer", "antichain") and cls is None:
+        cls = homeo_class(t)
     if method == "no_coarser":
         t_set = frozenset(t.opens)
-        return not any(u != t and _opens_subset(u, t_set) for u in homeo_class(t))
+        return not any(u != t and _opens_subset(u, t_set) for u in cls)
     if method == "no_finer":
-        return not any(u != t and _opens_subset(t, frozenset(u.opens))
-                       for u in homeo_class(t))
+        return not any(u != t and _opens_subset(t, frozenset(u.opens)) for u in cls)
     if method == "antichain":
-        sets = [frozenset(u.opens) for u in homeo_class(t)]
+        sets = [frozenset(u.opens) for u in cls]
         for i, a in enumerate(sets):
             for b in sets[i + 1:]:
                 if a <= b or b <= a:
@@ -72,11 +79,11 @@ def condensational_leq(t1: FiniteTopology, t2: FiniteTopology,
         raise DimensionMismatchError("comparing topologies on different ground sets")
     n = t1.n
     if method == "coarsening_of_t2_side":
-        s2 = frozenset(t2.opens)
-        for tab in mask_tables(n):
-            if all(tab[o] in s2 for o in t1.opens):
-                return True
-        return False
+        # images picks the images of t1's opens out of a permutation's table
+        # (the leading 0 keeps its result a tuple when t1 has one open)
+        into_t2 = frozenset(t2.opens).issuperset
+        images = itemgetter(0, *t1.opens)
+        return any(map(into_t2, map(images, mask_tables(n))))
     if method == "refinement_of_t1_side":
         s1 = frozenset(t1.opens)
         for tab in mask_tables(n):
@@ -85,41 +92,66 @@ def condensational_leq(t1: FiniteTopology, t2: FiniteTopology,
                 return True
         return False
     if method == "witness_map":
-        for f in permutations(range(n)):
-            if is_condensation(f, t2, t1):
-                return True
-        return False
+        # a continuous bijection from (X, t2) onto (X, t1); the permutations
+        # need no check, and the empty and full sets pull back to themselves
+        dom, inner = frozenset(t2.opens), t1.opens[1:-1]
+        return any(preimages_open(f, dom, inner) for f in permutations(range(n)))
     raise ValueError(f"unknown ordering method {method!r}")
+
+
+def _open_sizes(t: FiniteTopology) -> list[int]:
+    return sorted(o.bit_count() for o in t.opens)
 
 
 def sim_class(t: FiniteTopology,
               cat: TopologyCatalog | None = None) -> tuple[FiniteTopology, ...]:
-    """All catalog members u with t <= u <= t in the condensational preorder, sorted."""
+    """All catalog members u with t <= u <= t in the condensational preorder,
+    sorted.
+
+    A copy of t inside u has as many opens as t, so t <= u <= t needs equal
+    open counts, and then the copy is all of u: only members whose opens have
+    the same sizes as those of t are compared."""
     cat = cat if cat is not None else catalog(t.n)
+    k, sizes = len(t.opens), _open_sizes(t)
     return tuple(sorted(u for u in cat.topologies
-                        if condensational_leq(t, u) and condensational_leq(u, t)))
+                        if len(u.opens) == k and _open_sizes(u) == sizes
+                        and condensational_leq(t, u) and condensational_leq(u, t)))
 
 
 def conv_hull(topologies, cat: TopologyCatalog | None = None) -> tuple[FiniteTopology, ...]:
     """Minimal convex superset in the inclusion lattice: everything that sits
-    between two members (inclusive bounds)."""
-    tops = sorted(set(topologies))
+    between two members (inclusive bounds).
+
+    A candidate strictly above a member has more opens and one strictly below
+    has fewer, so only catalog members whose open count lies between the
+    family's least and greatest are tested; a candidate with k opens is in
+    the hull iff it is a member, or some member with fewer than k opens lies
+    below it and some member with more than k opens lies above it.
+    """
+    tops = set(topologies)
     if not tops:
         return ()
-    n = tops[0].n
-    cat = cat if cat is not None else catalog(n)
-    sets = [frozenset(u.opens) for u in tops]
+    cat = cat if cat is not None else catalog(next(iter(tops)).n)
+    family = [(len(u.opens), opens_bitset(u)) for u in tops]
+    members = {bits for _, bits in family}
+    counts = [k for k, _ in family]
     out = []
-    for cand in cat.topologies:
-        c = frozenset(cand.opens)
-        if any(a <= c for a in sets) and any(c <= b for b in sets):
-            out.append(cand)
+    for k in range(min(counts), max(counts) + 1):
+        below = [a for j, a in family if j < k]
+        above = [b for j, b in family if j > k]
+        bits, cands = cat.by_open_count.get(k, ((), ()))
+        for c, cand in zip(bits, cands):
+            if c in members or (any(a & c == a for a in below)
+                                and any(c & b == c for b in above)):
+                out.append(cand)
     return tuple(sorted(out))
 
 
-def is_weakly_reversible(t: FiniteTopology, cat: TopologyCatalog | None = None) -> bool:
-    """True iff the homeomorphism class of t is convex in the inclusion lattice."""
-    cls = homeo_class(t)
+def is_weakly_reversible(t: FiniteTopology, cat: TopologyCatalog | None = None,
+                         cls: tuple[FiniteTopology, ...] | None = None) -> bool:
+    """True iff the homeomorphism class of t (cls when given) is convex in
+    the inclusion lattice."""
+    cls = cls if cls is not None else homeo_class(t)
     return conv_hull(cls, cat) == cls
 
 

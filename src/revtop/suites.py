@@ -3,26 +3,35 @@
 Suite keys are the stable identifiers used by the command line: each runs
 one family of cross-checks over every topology (or pair) in the catalog and
 reports how many instances agreed.
+
+The per-topology suites (fact11, prop14, thm31) evaluate each homeomorphism
+orbit once, at its catalog representative, and count it at its orbit size,
+so `total` is still the number of labelled topologies.  That is sound
+because every property they test is invariant under relabelling the
+points: a permutation carries a topology's homeomorphism class,
+condensational equivalence class, convex hull and reversibility verdicts
+onto those of its image, so every member of an orbit gets the
+representative's answer.  The per-member loops are kept in the tests as
+the reference the orbit-first suites are compared against.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .enumeration import catalog, enumerate_topologies_by_closure
+from .enumeration import TopologyCatalog, catalog, enumerate_topologies_by_closure
 from .order import (
     LEQ_METHODS,
     REVERSIBILITY_METHODS,
     StrongKind,
     classify_strongly_reversible,
     condensational_leq,
+    condensational_order,
     conv_hull,
     is_reversible,
     is_strongly_reversible,
-    is_weakly_reversible,
-    sim_class,
 )
-from .topology import homeo_class
+from .topology import FiniteTopology
 
 
 @dataclass(frozen=True)
@@ -51,15 +60,74 @@ def suite_enum(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
                        total, f"count={len(cat.topologies)}")
 
 
+def _fact11_verdicts(cat: TopologyCatalog, orbits) -> list[bool]:
+    """The four reversibility tests agree (and hold) at the representative."""
+    return [{is_reversible(rep, m, cls) for m in REVERSIBILITY_METHODS} == {True}
+            for rep, cls in orbits]
+
+
+def _prop14_verdicts(cat: TopologyCatalog, orbits) -> list[bool]:
+    """The equivalence class is the convex hull of the orbit, and the orbit is
+    convex exactly when it is the whole equivalence class.
+
+    The equivalence class of an orbit is the union of the orbits mutually
+    below it in the condensational order, whose matrix comes from the
+    permutation search and not from the catalog's orbits."""
+    leq = condensational_order(cat.n, cat).leq
+    verdicts = []
+    for i, (rep, cls) in enumerate(orbits):
+        sim = tuple(sorted(u for j, (_, other) in enumerate(orbits)
+                           if leq[i][j] and leq[j][i] for u in other))
+        hull = conv_hull(cls, cat)
+        weak = hull == cls  # is_weakly_reversible, on the hull already computed
+        verdicts.append(sim == hull and weak == (sim == cls))
+    return verdicts
+
+
+def _thm31_verdicts(cat: TopologyCatalog, orbits) -> list[bool]:
+    """The transposition test and the classification both agree with the
+    orbit having a single member."""
+    verdicts = []
+    for rep, cls in orbits:
+        fast = is_strongly_reversible(rep)
+        label = classify_strongly_reversible(rep)
+        verdicts.append(fast == (len(cls) == 1)
+                        and fast == (label != StrongKind.NOT_STRONGLY_REVERSIBLE))
+    return verdicts
+
+
+_ORBIT_VERDICTS = {
+    "fact11": _fact11_verdicts,
+    "prop14": _prop14_verdicts,
+    "thm31": _thm31_verdicts,
+}
+
+
+def orbit_verdicts(name: str, cat: TopologyCatalog) -> list[
+        tuple[FiniteTopology, tuple[FiniteTopology, ...], bool]]:
+    """(representative, orbit, verdict) for each orbit of the catalog, in
+    ``orbit_reps`` order: the per-topology suite ``name`` evaluated once at
+    the representative.
+
+    A verdict is weighted by its orbit's size, so the sizes are first checked
+    to add up to the catalog size; the AssertionError survives python -O."""
+    covered = sum(len(cat.orbits[rep]) for rep in cat.orbit_reps)
+    if covered != len(cat.topologies):
+        raise AssertionError(f"orbit sizes sum to {covered}, "
+                             f"but the catalog has {len(cat.topologies)} topologies")
+    orbits = [(rep, cat.orbits[rep]) for rep in cat.orbit_reps]
+    verdicts = _ORBIT_VERDICTS[name](cat, orbits)
+    return [(rep, cls, ok) for (rep, cls), ok in zip(orbits, verdicts)]
+
+
+def _agreed(verdicts) -> int:
+    return sum(len(cls) for _, cls, ok in verdicts if ok)
+
+
 def suite_fact11(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """The four reversibility tests agree (and hold) on every catalog member."""
     cat = catalog(n)
-    agreed = 0
-    for t in cat.topologies:
-        answers = {m: is_reversible(t, m) for m in REVERSIBILITY_METHODS}
-        if len(set(answers.values())) == 1 and answers["antichain"]:
-            agreed += 1
-    return SuiteResult("fact11", agreed, len(cat.topologies))
+    return SuiteResult("fact11", _agreed(orbit_verdicts("fact11", cat)), len(cat.topologies))
 
 
 def suite_fact12(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
@@ -85,32 +153,16 @@ def suite_prop14(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """Equivalence classes are the convex hulls of homeomorphism classes, and
     weak reversibility is exactly their coincidence."""
     cat = catalog(n)
-    agreed = 0
-    for t in cat.topologies:
-        cls = homeo_class(t)
-        sim = sim_class(t, cat)
-        hull = conv_hull(cls, cat)
-        weak = is_weakly_reversible(t, cat)
-        if sim == hull and weak == (sim == cls):
-            agreed += 1
-    return SuiteResult("prop14", agreed, len(cat.topologies))
+    return SuiteResult("prop14", _agreed(orbit_verdicts("prop14", cat)), len(cat.topologies))
 
 
 def suite_thm31(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """Strong-reversibility classification agrees with the orbit test; the
     strongly reversible topologies are exactly the two trivial ones."""
     cat = catalog(n)
-    agreed = 0
-    strong = 0
-    for t in cat.topologies:
-        brute = len(homeo_class(t)) == 1
-        fast = is_strongly_reversible(t)
-        label = classify_strongly_reversible(t)
-        matches = (fast == brute) and (fast == (label != StrongKind.NOT_STRONGLY_REVERSIBLE))
-        if matches:
-            agreed += 1
-        if fast:
-            strong += 1
+    verdicts = orbit_verdicts("thm31", cat)
+    agreed = _agreed(verdicts)
+    strong = sum(len(cls) for rep, cls, _ in verdicts if is_strongly_reversible(rep))
     expected = 1 if n <= 1 else 2
     detail = f"strongly_reversible={strong} expected={expected}"
     if strong != expected:

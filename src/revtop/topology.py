@@ -82,31 +82,39 @@ def full_mask(n: int) -> int:
 class FiniteTopology:
     """A topology as the strictly sorted tuple of its open sets (bit masks).
 
-    The constructor checks only the cheap structural invariants (sorted,
-    contains empty and full set, masks in range); closure under union and
-    intersection is guaranteed by the factory functions and checkable via
-    :func:`validate_topology`.
+    The constructor enforces every invariant: masks in range and strictly
+    sorted, the empty and full sets present, and closure under union and
+    intersection (a failure names the first offending pair as its witness).
     """
 
     n: int
     opens: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
+        n, ops = self.n, self.opens
+        if n < 0:
             raise TopologyError("negative ground size")
-        full = full_mask(self.n)
-        ops = self.opens
-        if not ops or ops[0] != 0:
-            raise MissingEmptyError("open family must start with the empty set")
-        if ops[-1] != full:
-            raise MissingFullError("open family must end with the full set")
+        full = full_mask(n)
         prev = -1
         for o in ops:
             if not 0 <= o <= full:
-                raise TopologyError(f"open {o:#b} out of range for n={self.n}")
+                raise TopologyError(f"point set {o} out of range for n={n}")
             if o <= prev:
                 raise TopologyError("opens must be strictly sorted")
             prev = o
+        if not ops or ops[0] != 0:
+            raise MissingEmptyError(f"family on {n} points lacks the empty set")
+        if ops[-1] != full:
+            raise MissingFullError(f"family on {n} points lacks the full set")
+        # pairs involving the empty or the full set never fail
+        present = set(ops)
+        inner = ops[1:-1]
+        for i, a in enumerate(inner, 1):
+            for b in inner[i:]:
+                if a | b not in present:
+                    raise NotClosedUnderUnionError(a, b)
+                if a & b not in present:
+                    raise NotClosedUnderIntersectionError(a, b)
 
     @property
     def full(self) -> int:
@@ -123,27 +131,12 @@ class FiniteTopology:
 def validate_topology(n: int, family) -> FiniteTopology:
     """Check that a family of point sets is a topology and canonicalize it.
 
-    Raises MissingEmptyError / MissingFullError / NotClosedUnderUnionError /
-    NotClosedUnderIntersectionError with a witness pair on failure.
+    Sorts and deduplicates the family; the constructor then raises
+    MissingEmptyError / MissingFullError / NotClosedUnderUnionError /
+    NotClosedUnderIntersectionError (with a witness pair) on failure.
     """
     check_ground(n)
-    full = full_mask(n)
-    opens = sorted(set(family))
-    for m in opens:
-        if not 0 <= m <= full:
-            raise TopologyError(f"point set {m} out of range for n={n}")
-    present = set(opens)
-    if 0 not in present:
-        raise MissingEmptyError(f"family on {n} points lacks the empty set")
-    if full not in present:
-        raise MissingFullError(f"family on {n} points lacks the full set")
-    for i, a in enumerate(opens):
-        for b in opens[i + 1:]:
-            if a | b not in present:
-                raise NotClosedUnderUnionError(a, b)
-            if a & b not in present:
-                raise NotClosedUnderIntersectionError(a, b)
-    return FiniteTopology(n, tuple(opens))
+    return FiniteTopology(n, tuple(sorted(set(family))))
 
 
 def generate_topology(n: int, subbase) -> FiniteTopology:
@@ -201,6 +194,16 @@ def mask_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+def opens_bitset(t: FiniteTopology) -> int:
+    """The open family as one int whose bit o is set iff the point set o is
+    open, so inclusion of open families is one AND: opens(t) <= opens(u) iff
+    opens_bitset(t) & opens_bitset(u) == opens_bitset(t)."""
+    bits = 0
+    for o in t.opens:
+        bits |= 1 << o
+    return bits
+
+
 def _check_permutation(f: tuple[int, ...], n: int) -> None:
     if len(f) != n:
         raise DimensionMismatchError(f"permutation on {len(f)} points vs topology on {n}")
@@ -227,13 +230,18 @@ def is_continuous(f: tuple[int, ...], dom: FiniteTopology, cod: FiniteTopology) 
     if dom.n != cod.n:
         raise DimensionMismatchError("mismatched ground sizes")
     _check_permutation(f, dom.n)
-    dom_set = frozenset(dom.opens)
-    for o in cod.opens:
+    return preimages_open(f, frozenset(dom.opens), cod.opens)
+
+
+def preimages_open(f: tuple[int, ...], dom_opens: frozenset[int], cod_opens) -> bool:
+    """The test of :func:`is_continuous` for an already checked permutation f:
+    is the preimage of every set in cod_opens a member of dom_opens?"""
+    for o in cod_opens:
         pre = 0
         for i, j in enumerate(f):
             if o >> j & 1:
                 pre |= 1 << i
-        if pre not in dom_set:
+        if pre not in dom_opens:
             return False
     return True
 
@@ -262,10 +270,14 @@ def closure(mask: int, t: FiniteTopology) -> int:
     return full ^ interior(full ^ mask, t)
 
 
+def orbit_opens(t: FiniteTopology) -> list[tuple[int, ...]]:
+    """The open families of all permutation images of t, sorted."""
+    return sorted({tuple(sorted(tab[o] for o in t.opens)) for tab in mask_tables(t.n)})
+
+
 def homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
     """All permutation images of t, sorted; the first is its canonical form."""
-    images = {tuple(sorted(tab[o] for o in t.opens)) for tab in mask_tables(t.n)}
-    return tuple(FiniteTopology(t.n, o) for o in sorted(images))
+    return tuple(FiniteTopology(t.n, o) for o in orbit_opens(t))
 
 
 def canonical_form(t: FiniteTopology) -> FiniteTopology:

@@ -10,6 +10,7 @@ from revtop.topology import (
     FiniteTopology,
     MissingEmptyError,
     MissingFullError,
+    NotClosedUnderIntersectionError,
     NotClosedUnderUnionError,
     TopologyError,
     antidiscrete_topology,
@@ -41,6 +42,19 @@ def test_validate_union_failure_witness():
     with pytest.raises(NotClosedUnderUnionError) as err:
         validate_topology(3, [0, 1, 2, 7])
     assert err.value.witness == (1, 2)
+
+
+def test_constructor_enforces_closure():
+    with pytest.raises(NotClosedUnderUnionError) as err:
+        FiniteTopology(3, (0, 1, 2, 7))
+    assert err.value.witness == (1, 2)
+    with pytest.raises(NotClosedUnderIntersectionError) as err:
+        FiniteTopology(3, (0, 3, 6, 7))
+    assert err.value.witness == (3, 6)
+    with pytest.raises(TopologyError):
+        FiniteTopology(2, (0, 2, 1, 3))  # not sorted
+    with pytest.raises(TopologyError):
+        FiniteTopology(2, (0, 1, 3, 4))  # out of range
 
 
 def test_validate_missing_sets():
