@@ -126,15 +126,13 @@ def cmd_witness(args) -> int:
     if args.kind != "ordered-z":
         raise ValueError(f"unknown witness kind {args.kind!r}")
     if args.iterate <= 1:
-        witness = sym.nonreversibility_witness(sym.OrderedZ(args.c))
-        payload = witness.to_json()
-        ok = witness.verify()
+        payload = sym.nonreversibility_witness(sym.OrderedZ(args.c)).to_json()
     else:
         chain = sym.increasing_chain(sym.OrderedZ(args.c), args.iterate)
-        ok = all(w.verify() for w in chain)
-        payload = {"chain": [w.to_json() for w in chain], "verified": ok}
+        links = [w.to_json() for w in chain]
+        payload = {"chain": links, "verified": all(link["verified"] for link in links)}
     sys.stdout.write(_dumps(payload) + "\n")
-    return 0 if ok else 1
+    return 0 if payload["verified"] else 1
 
 
 def cmd_ostar(args) -> int:

@@ -184,7 +184,6 @@ class DifferenceSet(SetDescriptor):
     right: SetDescriptor
 
 
-EMPTY_SET = FiniteSet(())
 OMEGA_SET = CofiniteSet(())
 
 

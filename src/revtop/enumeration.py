@@ -13,6 +13,8 @@ from functools import cached_property, lru_cache
 from .topology import (
     FiniteTopology,
     TopologyError,
+    adjoin_open,
+    antidiscrete_topology,
     check_ground,
     full_mask,
     opens_bitset,
@@ -118,17 +120,11 @@ def preorder_of_topology(t: FiniteTopology) -> Preorder:
 
 def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
     """Independent cross-check of the catalog: saturate from the antidiscrete
-    topology by adding one generator set at a time and closing under
-    intersections and unions.  Sorted like the catalog.
-
-    For a topology T (a lattice of sets with the empty and full set) the
-    closure of T with one more set s is {a | (b & s) : a, b in T}: that
-    family contains T and s and is closed under both operations, since
-    unions and intersections of sets distribute over each other.
-    """
+    topology by adjoining one generator set at a time (:func:`adjoin_open`).
+    Sorted like the catalog."""
     check_ground(n)
     full = full_mask(n)
-    start = (0, full) if full else (0,)
+    start = antidiscrete_topology(n).opens
     seen = {start}
     frontier = [start]
     while frontier:
@@ -138,8 +134,7 @@ def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
             for s in range(1, full):
                 if s in base:
                     continue
-                cuts = {b & s for b in opens}
-                key = tuple(sorted({a | c for a in opens for c in cuts}))
+                key = adjoin_open(opens, s)
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append(key)

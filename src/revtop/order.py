@@ -187,19 +187,49 @@ def classify_strongly_reversible(t: FiniteTopology) -> StrongKind:
     return StrongKind.NOT_STRONGLY_REVERSIBLE
 
 
+def _bits(row: int):
+    """The indices of the set bits of row, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def _covers(up) -> list[int]:
+    """Transitive reduction of a partial order given by up-set rows (bit j of
+    up[i] set iff i <= j): the covers of i are its strict up-set minus the
+    strict up-sets of its members."""
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+    covers = []
+    for row in strict:
+        above = 0
+        for j in _bits(row):
+            above |= strict[j]
+        covers.append(row & ~above)
+    return covers
+
+
+def _inclusion_up(elems) -> list[int]:
+    """Up-set rows of a family of distinct topologies ordered by inclusion of
+    their open families."""
+    bits = [opens_bitset(t) for t in elems]
+    return [sum(1 << j for j, b in enumerate(bits) if a & b == a) for a in bits]
+
+
 @dataclass(frozen=True)
 class CondOrderDigraph:
     """The condensational order on equivalence classes of topologies.
 
     Nodes are the catalog's orbit representatives: every finite space is
     reversible, so each equivalence class is a single homeomorphism orbit.
-    leq is the induced partial order and hasse its transitive reduction.
+    up holds the induced partial order as up-set rows (bit j of up[i] set iff
+    node i <= node j) and hasse its transitive reduction.
     """
 
     n: int
     nodes: tuple[FiniteTopology, ...]
     orbit_sizes: tuple[int, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
     hasse: tuple[tuple[int, int], ...]
 
     def to_dot(self) -> str:
@@ -213,11 +243,12 @@ class CondOrderDigraph:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
+        k = len(self.nodes)
         return {
             "n": self.n,
             "nodes": [{"opens": list(t.opens), "orbit_size": s}
                       for t, s in zip(self.nodes, self.orbit_sizes)],
-            "leq": [[int(v) for v in row] for row in self.leq],
+            "leq": [[row >> j & 1 for j in range(k)] for row in self.up],
             "hasse": [list(e) for e in self.hasse],
         }
 
@@ -226,19 +257,11 @@ def condensational_order(n: int, cat: TopologyCatalog | None = None) -> CondOrde
     """The condensational order on the catalog's orbits, with Hasse edges."""
     cat = cat if cat is not None else catalog(n)
     reps = cat.orbit_reps
-    k = len(reps)
-    leq = [[len(b.opens) >= len(a.opens) and condensational_leq(a, b) for b in reps]
-           for a in reps]
-    hasse = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not leq[i][j]:
-                continue
-            if any(leq[i][x] and leq[x][j] and x != i and x != j for x in range(k)):
-                continue
-            hasse.append((i, j))
-    return CondOrderDigraph(n, reps, cat.orbit_sizes(),
-                            tuple(tuple(row) for row in leq), tuple(hasse))
+    up = tuple(sum(1 << j for j, b in enumerate(reps)
+                   if len(b.opens) >= len(a.opens) and condensational_leq(a, b))
+               for a in reps)
+    hasse = tuple((i, j) for i, row in enumerate(_covers(up)) for j in _bits(row))
+    return CondOrderDigraph(n, reps, cat.orbit_sizes(), up, hasse)
 
 
 @dataclass(frozen=True)
@@ -258,20 +281,15 @@ def maximal_chains_and_endpoints(members) -> ChainReport:
     are used.
     """
     if isinstance(members, CondOrderDigraph):
-        elems = list(members.nodes)
-        k = len(elems)
-        rel = [[members.leq[i][j] and i != j for j in range(k)] for i in range(k)]
+        elems, up = list(members.nodes), members.up
     else:
         elems = sorted(set(members))
-        k = len(elems)
-        sets = [frozenset(t.opens) for t in elems]
-        rel = [[i != j and sets[i] < sets[j] for j in range(k)] for i in range(k)]
-    covers = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if rel[i][j] and not any(rel[i][x] and rel[x][j] for x in range(k)):
-                covers[i].append(j)
-    minimal = [i for i in range(k) if not any(rel[j][i] for j in range(k))]
+        up = _inclusion_up(elems)
+    covers = _covers(up)
+    covered = 0
+    for row in covers:
+        covered |= row
+    minimal = [i for i in range(len(elems)) if not covered >> i & 1]
     chains: list[tuple[int, ...]] = []
 
     def walk(path):
@@ -279,7 +297,7 @@ def maximal_chains_and_endpoints(members) -> ChainReport:
         if not covers[tip]:
             chains.append(tuple(path))
             return
-        for nxt in covers[tip]:
+        for nxt in _bits(covers[tip]):
             walk(path + [nxt])
 
     for start in minimal:
@@ -365,8 +383,6 @@ def _canonical_edges(k: int, edges: set[tuple[int, int]]) -> tuple[tuple[int, in
 def poset_invariant(members) -> PosetInvariant:
     """Canonical certificate of a family of topologies ordered by inclusion."""
     elems = sorted(set(members))
-    k = len(elems)
-    sets = [frozenset(t.opens) for t in elems]
-    edges = {(i, j) for i in range(k) for j in range(k)
-             if i != j and sets[i] < sets[j]}
-    return PosetInvariant(k, _canonical_edges(k, edges))
+    edges = {(i, j) for i, row in enumerate(_inclusion_up(elems))
+             for j in _bits(row & ~(1 << i))}
+    return PosetInvariant(len(elems), _canonical_edges(len(elems), edges))

@@ -71,13 +71,13 @@ def _prop14_verdicts(cat: TopologyCatalog, orbits) -> list[bool]:
     convex exactly when it is the whole equivalence class.
 
     The equivalence class of an orbit is the union of the orbits mutually
-    below it in the condensational order, whose matrix comes from the
+    below it in the condensational order, whose rows come from the
     permutation search and not from the catalog's orbits."""
-    leq = condensational_order(cat.n, cat).leq
+    up = condensational_order(cat.n, cat).up
     verdicts = []
     for i, (rep, cls) in enumerate(orbits):
         sim = tuple(sorted(u for j, (_, other) in enumerate(orbits)
-                           if leq[i][j] and leq[j][i] for u in other))
+                           if up[i] >> j & 1 and up[j] >> i & 1 for u in other))
         hull = conv_hull(cls, cat)
         weak = hull == cls  # is_weakly_reversible, on the hull already computed
         verdicts.append(sim == hull and weak == (sim == cls))

@@ -139,31 +139,31 @@ def validate_topology(n: int, family) -> FiniteTopology:
     return FiniteTopology(n, tuple(sorted(set(family))))
 
 
-def generate_topology(n: int, subbase) -> FiniteTopology:
-    """Smallest topology containing the given point sets.
+def adjoin_open(opens, s: int) -> tuple[int, ...]:
+    """The opens of the smallest topology containing the topology with the
+    given opens and the point set s, sorted.
 
-    Closes under finite intersections first (the full set is the empty
-    intersection), then under unions, then adds the empty set.
+    For a topology T (a lattice of sets with the empty and full set) that
+    closure is {a | (b & s) : a, b in T}: the family contains T and s and is
+    closed under both operations, since unions and intersections of sets
+    distribute over each other.
     """
+    cuts = {b & s for b in opens}
+    return tuple(sorted({a | c for a in opens for c in cuts}))
+
+
+def generate_topology(n: int, subbase) -> FiniteTopology:
+    """Smallest topology containing the given point sets: the antidiscrete
+    topology with the sets adjoined one at a time."""
     check_ground(n)
     full = full_mask(n)
     for m in subbase:
         if not 0 <= m <= full:
             raise TopologyError(f"point set {m} out of range for n={n}")
-    inter = {full}
+    opens = antidiscrete_topology(n).opens
     for s in subbase:
-        inter |= {s & t for t in inter}
-    opens = set(inter)
-    opens.add(0)
-    frontier = list(opens)
-    while frontier:
-        x = frontier.pop()
-        for y in list(opens):
-            u = x | y
-            if u not in opens:
-                opens.add(u)
-                frontier.append(u)
-    return FiniteTopology(n, tuple(sorted(opens)))
+        opens = adjoin_open(opens, s)
+    return FiniteTopology(n, opens)
 
 
 def antidiscrete_topology(n: int) -> FiniteTopology:

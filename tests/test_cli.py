@@ -59,6 +59,7 @@ def test_order_outputs(tmp_path):
     assert text.count("->") == 2
     data = json.loads(js.read_text())
     assert len(data["nodes"]) == 3
+    assert data["leq"] == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
     assert sorted(map(tuple, data["hasse"])) == [(1, 0), (2, 1)]
 
 
@@ -120,6 +121,31 @@ def test_witness_chain():
     data = json.loads(proc.stdout)
     assert data["verified"] is True
     assert [w["image_c"] for w in data["chain"]] == [3, 4, 5, 6]
+
+
+def test_witness_chain_verifies_each_link_once(monkeypatch, capsys):
+    from revtop.cli import main
+    from revtop.symbolic import NonreversibilityWitness
+    calls = []
+    verify = NonreversibilityWitness.verify
+
+    def counted(self):
+        calls.append(self)
+        return verify(self)
+
+    monkeypatch.setattr(NonreversibilityWitness, "verify", counted)
+    assert main(["witness", "ordered-z", "--iterate", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("iterate", ["1", "3"])
+def test_witness_failing_verification_exits_1(monkeypatch, capsys, iterate):
+    from revtop.cli import main
+    from revtop.symbolic import NonreversibilityWitness
+    monkeypatch.setattr(NonreversibilityWitness, "verify", lambda self: False)
+    assert main(["witness", "ordered-z", "--iterate", iterate]) == 1
+    assert json.loads(capsys.readouterr().out)["verified"] is False
 
 
 def test_ostar_suites():

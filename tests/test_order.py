@@ -145,36 +145,50 @@ def test_condensational_order_n2_is_three_chain():
     assert set(digraph.hasse) == {(1, 0), (2, 1)}
 
 
-def test_condensational_order_n3_antisymmetric():
-    digraph = condensational_order(3)
-    assert len(digraph.nodes) == 9
+ORBIT_COUNTS = {2: 3, 3: 9, 4: 33}
+
+
+def leq(digraph, i, j) -> bool:
+    return bool(digraph.up[i] >> j & 1)
+
+
+def reference_hasse(digraph):
+    """The transitive reduction by its O(k^3) definition: i < j with no node
+    strictly between them."""
     k = len(digraph.nodes)
+    return [(i, j) for i in range(k) for j in range(k)
+            if i != j and leq(digraph, i, j)
+            and not any(x not in (i, j) and leq(digraph, i, x) and leq(digraph, x, j)
+                        for x in range(k))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_condensational_order_antisymmetric(n):
+    digraph = condensational_order(n)
+    k = len(digraph.nodes)
+    assert k == ORBIT_COUNTS[n]
     for i in range(k):
-        assert digraph.leq[i][i]
+        assert leq(digraph, i, i)
         for j in range(k):
-            if i != j and digraph.leq[i][j]:
-                assert not digraph.leq[j][i]
+            if i != j and leq(digraph, i, j):
+                assert not leq(digraph, j, i)
 
 
-def test_quotient_order_is_transitive():
-    digraph = condensational_order(3)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quotient_order_is_transitive(n):
+    digraph = condensational_order(n)
     k = len(digraph.nodes)
     for i in range(k):
         for j in range(k):
             for x in range(k):
-                if digraph.leq[i][j] and digraph.leq[j][x]:
-                    assert digraph.leq[i][x]
+                if leq(digraph, i, j) and leq(digraph, j, x):
+                    assert leq(digraph, i, x)
 
 
-def test_hasse_is_transitive_reduction():
-    digraph = condensational_order(3)
-    k = len(digraph.nodes)
-    hasse = set(digraph.hasse)
-    for i, j in hasse:
-        assert digraph.leq[i][j] and i != j
-        for x in range(k):
-            if x not in (i, j):
-                assert not (digraph.leq[i][x] and digraph.leq[x][j])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hasse_is_transitive_reduction(n):
+    digraph = condensational_order(n)
+    assert digraph.hasse == tuple(reference_hasse(digraph))
 
 
 def test_maximal_chains_on_classes(cat3):
@@ -200,6 +214,26 @@ def test_maximal_chains_of_digraph():
     digraph = condensational_order(2)
     report = maximal_chains_and_endpoints(digraph)
     assert len(report.chains) == 1 and len(report.chains[0]) == 3
+
+
+def test_maximal_chains_of_digraph_match_reference_walk():
+    digraph = condensational_order(3)
+    k = len(digraph.nodes)
+    covers = {i: [j for a, j in reference_hasse(digraph) if a == i] for i in range(k)}
+    minimal = [i for i in range(k) if not any(j != i and leq(digraph, j, i) for j in range(k))]
+    chains = []
+
+    def walk(path):
+        if not covers[path[-1]]:
+            chains.append(tuple(digraph.nodes[i] for i in path))
+        for j in covers[path[-1]]:
+            walk(path + [j])
+
+    for i in minimal:
+        walk([i])
+    report = maximal_chains_and_endpoints(digraph)
+    assert report.chains == tuple(sorted(chains))
+    assert len(report.chains) > 1
 
 
 def test_poset_invariant_examples():

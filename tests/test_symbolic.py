@@ -19,6 +19,7 @@ from revtop.descriptors import (
     Word,
     nf,
     nf_enumerate,
+    nf_member,
     word_contains,
 )
 from revtop.symbolic import (
@@ -42,7 +43,6 @@ from revtop.symbolic import (
     increasing_chain,
     member_open,
     nonreversibility_witness,
-    preserves_topology,
     star_in_closure_check,
     unique_limits_check,
 )
@@ -122,7 +122,6 @@ def test_image_descriptor_fin_support():
     swap = FinSupportPerm.swap(0, 1)
     assert image_descriptor(swap, CofiniteSet((0,))) == CofiniteSet((1,))
     assert image_descriptor(swap, FiniteSet((0, 5))) == FiniteSet((1, 5))
-    from revtop.descriptors import nf_member
     moved = nf(image_descriptor(swap, BranchSet(Word("", "1"))))
     want = {swap.apply(k) for k in range(64) if word_contains(Word("", "1"), k)}
     assert {k for k in range(64) if nf_member(moved, k)} == want
@@ -181,27 +180,49 @@ def test_increasing_chain_of_homeomorphic_copies():
 # --- strong reversibility of the cofinite topology --------------------------
 
 def test_preserves_topology_examples():
-    assert preserves_topology(FinSupportPerm.identity(), CoSmall()).verify()
-    cert = preserves_topology(FinSupportPerm.swap(0, 1), CoSmall())
-    assert cert.ok and cert.verify()
-    assert (CofiniteSet((0,)), CofiniteSet((1,))) in cert.checks
+    schema = image_topology_symbolic(FinSupportPerm.identity(), CoSmall())
+    assert schema.topology == CoSmall() and schema.verify()
+    schema = image_topology_symbolic(FinSupportPerm.swap(0, 1), CoSmall())
+    assert schema.topology == CoSmall() and schema.verify()
+    assert (CofiniteSet((0,)), CofiniteSet((1,))) in schema.obligations
+
+
+def random_fin_support_perm(rng, points, size_bound):
+    support = rng.sample(range(points), rng.randrange(0, size_bound))
+    images = support[:]
+    rng.shuffle(images)
+    return FinSupportPerm(tuple(zip(support, images)))
 
 
 def test_preserves_topology_seeded_sample():
     rng = random.Random(20250810)
     for _ in range(50):
-        size = rng.randrange(0, 7)
-        support = rng.sample(range(30), size)
-        images = support[:]
-        rng.shuffle(images)
-        perm = FinSupportPerm(tuple(zip(support, images)))
-        cert = preserves_topology(perm, CoSmall())
-        assert cert.ok and cert.verify()
+        perm = random_fin_support_perm(rng, 30, 7)
+        schema = image_topology_symbolic(perm, CoSmall())
+        assert schema.topology == CoSmall() and schema.verify()
 
 
 def test_preserves_topology_rejects_shift():
     with pytest.raises(UnsupportedDescriptorError):
-        preserves_topology(ShiftZ(1), CoSmall())
+        image_topology_symbolic(ShiftZ(1), CoSmall())
+
+
+@pytest.mark.parametrize("space", [DiscreteOmega(), AntidiscreteOmega(), CoSmall(), ConvSeq()])
+def test_image_obligations_are_pointwise_images(space):
+    """Each expected image is the probe set with its points moved one by one,
+    checked on a window of naturals past the support."""
+    rng = random.Random(7)
+    for _ in range(200):
+        perm = random_fin_support_perm(rng, 30, 9)
+        schema = image_topology_symbolic(perm, space)
+        assert schema.topology == space and schema.verify()
+        for before, after in schema.obligations:
+            if isinstance(space, ConvSeq):
+                assert after.star == before.star
+                before, after = before.omega, after.omega
+            inside = {k for k in range(40) if nf_member(nf(before), k)}
+            assert {k for k in range(40) if nf_member(nf(after), k)} == {
+                perm.apply(k) for k in inside}
 
 
 # --- almost-disjoint families -----------------------------------------------

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +80,16 @@ def test_generate_two_overlapping_sets():
 def test_generate_empty_subbase():
     assert generate_topology(3, []) == antidiscrete_topology(3)
     assert generate_topology(0, []) == FiniteTopology(0, (0,))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_generate_is_least_catalog_member_containing_subbase(n):
+    tops = catalog(n).topologies
+    for r in (0, 1, 2):
+        for subbase in combinations(range(1 << n), r):
+            least = min((t for t in tops if set(subbase) <= set(t.opens)),
+                        key=lambda t: len(t.opens))
+            assert generate_topology(n, subbase) == least
 
 
 def test_image_identity():
