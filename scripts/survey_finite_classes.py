@@ -25,9 +25,9 @@ def survey(n: int, dot_dir: str | None) -> None:
     cat = catalog(n)
     oracle = enumerate_topologies_by_closure(n)
     agree = tuple(cat.topologies) == oracle
-    digraph = condensational_order(n, cat)
+    digraph = condensational_order(n)
     strong = sum(1 for t in cat.orbit_reps if is_strongly_reversible(t))
-    weak = sum(1 for t in cat.orbit_reps if is_weakly_reversible(t, cat))
+    weak = sum(1 for t in cat.orbit_reps if is_weakly_reversible(t))
     longest = max((len(c) for c in maximal_chains_and_endpoints(digraph).chains),
                   default=0)
     elapsed = time.time() - start
@@ -45,7 +45,7 @@ def survey(n: int, dot_dir: str | None) -> None:
 def check_class_structure(n: int) -> None:
     cat = catalog(n)
     mismatches = sum(1 for t in cat.topologies
-                     if sim_class(t, cat) != homeo_class(t))
+                     if sim_class(t) != homeo_class(t))
     print(f"n={n}: equivalence classes differing from homeomorphism classes: "
           f"{mismatches} (finite ground sets force zero)")
 

@@ -72,7 +72,7 @@ def cmd_classify(args) -> int:
             "opens": list(rep.opens),
             "orbit_size": len(cls),
             "reversible": is_reversible(rep, cls=cls),
-            "weakly_reversible": is_weakly_reversible(rep, cat, cls),
+            "weakly_reversible": is_weakly_reversible(rep, cls),
             "strongly_reversible": is_strongly_reversible(rep),
             "classification": classify_strongly_reversible(rep).value,
         })

@@ -48,9 +48,6 @@ class Preorder:
                 if row >> j & 1 and self.up[j] | row != row:
                     raise TopologyError(f"relation not transitive via {i} <= {j}")
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.up[i] >> j & 1)
-
 
 def enumerate_preorders(n: int) -> tuple[Preorder, ...]:
     """All preorders on n points, sorted by their up-set rows."""

@@ -13,7 +13,7 @@ from enum import Enum
 from itertools import permutations
 from operator import itemgetter
 
-from .enumeration import TopologyCatalog, catalog
+from .enumeration import catalog
 from .topology import (
     DimensionMismatchError,
     FiniteTopology,
@@ -103,35 +103,33 @@ def _open_sizes(t: FiniteTopology) -> list[int]:
     return sorted(o.bit_count() for o in t.opens)
 
 
-def sim_class(t: FiniteTopology,
-              cat: TopologyCatalog | None = None) -> tuple[FiniteTopology, ...]:
-    """All catalog members u with t <= u <= t in the condensational preorder,
-    sorted.
+def sim_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
+    """All members u of ``catalog(t.n)`` with t <= u <= t in the
+    condensational preorder, sorted.
 
     A copy of t inside u has as many opens as t, so t <= u <= t needs equal
     open counts, and then the copy is all of u: only members whose opens have
     the same sizes as those of t are compared."""
-    cat = cat if cat is not None else catalog(t.n)
     k, sizes = len(t.opens), _open_sizes(t)
-    return tuple(sorted(u for u in cat.topologies
+    return tuple(sorted(u for u in catalog(t.n).topologies
                         if len(u.opens) == k and _open_sizes(u) == sizes
                         and condensational_leq(t, u) and condensational_leq(u, t)))
 
 
-def conv_hull(topologies, cat: TopologyCatalog | None = None) -> tuple[FiniteTopology, ...]:
+def conv_hull(topologies) -> tuple[FiniteTopology, ...]:
     """Minimal convex superset in the inclusion lattice: everything that sits
     between two members (inclusive bounds).
 
     A candidate strictly above a member has more opens and one strictly below
-    has fewer, so only catalog members whose open count lies between the
-    family's least and greatest are tested; a candidate with k opens is in
-    the hull iff it is a member, or some member with fewer than k opens lies
-    below it and some member with more than k opens lies above it.
+    has fewer, so only members of ``catalog(n)`` whose open count lies
+    between the family's least and greatest are tested; a candidate with k
+    opens is in the hull iff it is a member, or some member with fewer than k
+    opens lies below it and some member with more than k opens lies above it.
     """
     tops = set(topologies)
     if not tops:
         return ()
-    cat = cat if cat is not None else catalog(next(iter(tops)).n)
+    by_count = catalog(next(iter(tops)).n).by_open_count
     family = [(len(u.opens), opens_bitset(u)) for u in tops]
     members = {bits for _, bits in family}
     counts = [k for k, _ in family]
@@ -139,7 +137,7 @@ def conv_hull(topologies, cat: TopologyCatalog | None = None) -> tuple[FiniteTop
     for k in range(min(counts), max(counts) + 1):
         below = [a for j, a in family if j < k]
         above = [b for j, b in family if j > k]
-        bits, cands = cat.by_open_count.get(k, ((), ()))
+        bits, cands = by_count.get(k, ((), ()))
         for c, cand in zip(bits, cands):
             if c in members or (any(a & c == a for a in below)
                                 and any(c & b == c for b in above)):
@@ -147,12 +145,12 @@ def conv_hull(topologies, cat: TopologyCatalog | None = None) -> tuple[FiniteTop
     return tuple(sorted(out))
 
 
-def is_weakly_reversible(t: FiniteTopology, cat: TopologyCatalog | None = None,
+def is_weakly_reversible(t: FiniteTopology,
                          cls: tuple[FiniteTopology, ...] | None = None) -> bool:
     """True iff the homeomorphism class of t (cls when given) is convex in
     the inclusion lattice."""
     cls = cls if cls is not None else homeo_class(t)
-    return conv_hull(cls, cat) == cls
+    return conv_hull(cls) == cls
 
 
 def is_strongly_reversible(t: FiniteTopology) -> bool:
@@ -253,9 +251,9 @@ class CondOrderDigraph:
         }
 
 
-def condensational_order(n: int, cat: TopologyCatalog | None = None) -> CondOrderDigraph:
-    """The condensational order on the catalog's orbits, with Hasse edges."""
-    cat = cat if cat is not None else catalog(n)
+def condensational_order(n: int) -> CondOrderDigraph:
+    """The condensational order on the orbits of ``catalog(n)``, with Hasse edges."""
+    cat = catalog(n)
     reps = cat.orbit_reps
     up = tuple(sum(1 << j for j, b in enumerate(reps)
                    if len(b.opens) >= len(a.opens) and condensational_leq(a, b))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 
 COLORINGS = ("increasing_pairs", "distinct_pairs")
@@ -58,68 +59,67 @@ def verify_result(values, result: HomogeneousResult) -> bool:
     return False
 
 
+def _checked(values, result: HomogeneousResult, what: str) -> HomogeneousResult:
+    """result, after verify_result re-checks it; the AssertionError survives
+    python -O."""
+    if not verify_result(values, result):
+        raise AssertionError(f"{what} fails verification: {result}")
+    return result
+
+
 def sqrt_bound(n: int) -> int:
     """ceil(sqrt(n)), the guaranteed homogeneous size for length-n inputs."""
     root = isqrt(n)
     return root if root * root == n else root + 1
 
 
-def _longest_run(values, find) -> list[int]:
+def _longest_run(values, find, stop: int = 0) -> list[int]:
     """Indices of a longest run found by patience sorting: strictly
-    increasing with ``bisect_left``, non-decreasing with ``bisect_right``."""
+    increasing with ``bisect_left``, non-decreasing with ``bisect_right``.
+
+    values may be any iterable.  With stop > 0 reading ends as soon as a run
+    has stop values, and that run is returned."""
     tails: list = []               # value at the end of the best run per length
     tail_idx: list[int] = []
-    prev = [-1] * len(values)
+    prev: list[int] = []
     for i, v in enumerate(values):
         pos = find(tails, v)
+        prev.append(tail_idx[pos - 1] if pos else -1)
         if pos == len(tails):
             tails.append(v)
             tail_idx.append(i)
+            if pos + 1 == stop:
+                break
         else:
             tails[pos] = v
             tail_idx[pos] = i
-        prev[i] = tail_idx[pos - 1] if pos else -1
     out = []
-    i = tail_idx[-1]
+    i = tail_idx[-1] if tail_idx else -1
     while i >= 0:
         out.append(i)
         i = prev[i]
     return out[::-1]
 
 
-def _exact_extract(values, coloring: str) -> tuple[list[int], int]:
-    """A largest homogeneous index set and its color: 0 for the open class
-    (strictly increasing, or injective), 1 for the closed one."""
-    if coloring not in COLORINGS:
-        raise ValueError(f"unknown coloring {coloring!r}")
-    if coloring == "increasing_pairs":
-        inc = _longest_run(values, bisect_left)
-        dec = _longest_run([-v for v in values], bisect_right)  # non-increasing
-        return (inc, 0) if len(inc) >= len(dec) else (dec, 1)
+def _constant_or_rainbow(values, threshold: int | None = None) -> HomogeneousResult:
+    """One of the two homogeneous sets of the distinct coloring: the positions
+    of the least most frequent value (constant), or the first position of
+    each value (injective).  The constant set is taken when its size reaches
+    threshold, by default when it is larger than the injective one; only the
+    set taken is built."""
     counts = Counter(values)
     top = max(counts.values())
-    top_value = min(v for v in counts if counts[v] == top)
-    const = [i for i, v in enumerate(values) if v == top_value]
+    if top >= (len(counts) + 1 if threshold is None else threshold):
+        value = min(v for v in counts if counts[v] == top)
+        picked = tuple(i for i, v in enumerate(values) if v == value)
+        return HomogeneousResult(picked, KIND_CONSTANT, value)
     seen: set[int] = set()
-    rainbow = []
+    first = []
     for i, v in enumerate(values):
         if v not in seen:
             seen.add(v)
-            rainbow.append(i)
-    return (rainbow, 0) if len(rainbow) >= len(const) else (const, 1)
-
-
-def _kind_of(values, picked, coloring: str, color: int) -> tuple[str, int | None]:
-    if coloring == "increasing_pairs":
-        if color == 0:
-            return KIND_STRICTLY_INCREASING, None
-        chosen = [values[i] for i in picked]
-        if len(set(chosen)) == 1:
-            return KIND_CONSTANT, chosen[0]
-        return KIND_NON_INCREASING, None
-    if color == 0:
-        return KIND_INJECTIVE, None
-    return KIND_CONSTANT, values[picked[0]]
+            first.append(i)
+    return HomogeneousResult(tuple(first), KIND_INJECTIVE)
 
 
 def homogeneous_pairs(values, coloring: str = "increasing_pairs") -> HomogeneousResult:
@@ -131,12 +131,19 @@ def homogeneous_pairs(values, coloring: str = "increasing_pairs") -> Homogeneous
     values = list(values)
     if len(values) < 2:
         raise ValueError("need at least two values")
-    picked, color = _exact_extract(values, coloring)
-    kind, value = _kind_of(values, picked, coloring, color)
-    result = HomogeneousResult(tuple(picked), kind, value)
-    if not verify_result(values, result):
-        raise AssertionError(f"extracted set fails verification: {result}")
-    return result
+    if coloring == "distinct_pairs":
+        return _checked(values, _constant_or_rainbow(values), "extracted set")
+    if coloring != "increasing_pairs":
+        raise ValueError(f"unknown coloring {coloring!r}")
+    inc = _longest_run(values, bisect_left)
+    dec = _longest_run([-v for v in values], bisect_right)  # non-increasing
+    if len(inc) >= len(dec):
+        result = HomogeneousResult(tuple(inc), KIND_STRICTLY_INCREASING)
+    elif len({values[i] for i in dec}) == 1:
+        result = HomogeneousResult(tuple(dec), KIND_CONSTANT, values[dec[0]])
+    else:
+        result = HomogeneousResult(tuple(dec), KIND_NON_INCREASING)
+    return _checked(values, result, "extracted set")
 
 
 def constant_or_injective(values) -> HomogeneousResult:
@@ -147,25 +154,10 @@ def constant_or_injective(values) -> HomogeneousResult:
     if n < 1:
         raise ValueError("need at least one value")
     threshold = sqrt_bound(n)
-    counts = Counter(values)
-    top = max(counts.values())
-    if top >= threshold:
-        value = min(v for v in counts if counts[v] == top)
-        picked = tuple(i for i, v in enumerate(values) if v == value)
-        result = HomogeneousResult(picked, KIND_CONSTANT, value)
-    else:
-        seen: set[int] = set()
-        picked_list = []
-        for i, v in enumerate(values):
-            if v not in seen:
-                seen.add(v)
-                picked_list.append(i)
-        result = HomogeneousResult(tuple(picked_list), KIND_INJECTIVE, None)
+    result = _constant_or_rainbow(values, threshold)
     if len(result.indices) < threshold:
         raise AssertionError(f"dichotomy set below ceil(sqrt(N)) = {threshold}: {result}")
-    if not verify_result(values, result):
-        raise AssertionError(f"dichotomy set fails verification: {result}")
-    return result
+    return _checked(values, result, "dichotomy set")
 
 
 def constant_or_increasing(stream, target: int, fuel: int) -> HomogeneousResult | None:
@@ -183,41 +175,27 @@ def constant_or_increasing(stream, target: int, fuel: int) -> HomogeneousResult 
     if callable(stream):
         source = (stream(i) for i in range(fuel))
     else:
-        source = iter(stream)
+        source = islice(stream, fuel)
+    values: list = []
     positions: dict[int, list[int]] = {}
-    values: list[int] = []
-    tails: list[int] = []
-    tail_idx: list[int] = []
-    prev: list[int] = []
-    for i in range(fuel):
-        try:
-            v = next(source)
-        except StopIteration:
-            break
-        values.append(v)
-        bucket = positions.setdefault(v, [])
-        bucket.append(i)
-        if len(bucket) >= target:
-            result = HomogeneousResult(tuple(bucket[:target]), KIND_CONSTANT, v)
-            if not verify_result(values, result):
-                raise AssertionError(f"stream witness fails verification: {result}")
-            return result
-        pos = bisect_left(tails, v)
-        if pos == len(tails):
-            tails.append(v)
-            tail_idx.append(i)
-        else:
-            tails[pos] = v
-            tail_idx[pos] = i
-        prev.append(tail_idx[pos - 1] if pos else -1)
-        if len(tails) >= target:
-            out = []
-            j = tail_idx[target - 1]
-            while j >= 0 and len(out) < target:
-                out.append(j)
-                j = prev[j]
-            result = HomogeneousResult(tuple(out[::-1]), KIND_STRICTLY_INCREASING, None)
-            if not verify_result(values, result):
-                raise AssertionError(f"stream witness fails verification: {result}")
-            return result
-    return None
+    constant: list[HomogeneousResult] = []
+
+    def unrepeated():
+        """The values read, until one of them occurs target times."""
+        for i, v in enumerate(source):
+            values.append(v)
+            bucket = positions.setdefault(v, [])
+            bucket.append(i)
+            if len(bucket) == target:
+                constant.append(HomogeneousResult(tuple(bucket), KIND_CONSTANT, v))
+                return
+            yield v
+
+    run = _longest_run(unrepeated(), bisect_left, target)
+    if constant:
+        result = constant[0]
+    elif len(run) == target:
+        result = HomogeneousResult(tuple(run), KIND_STRICTLY_INCREASING)
+    else:
+        return None
+    return _checked(values, result, "stream witness")

@@ -73,12 +73,12 @@ def _prop14_verdicts(cat: TopologyCatalog, orbits) -> list[bool]:
     The equivalence class of an orbit is the union of the orbits mutually
     below it in the condensational order, whose rows come from the
     permutation search and not from the catalog's orbits."""
-    up = condensational_order(cat.n, cat).up
+    up = condensational_order(cat.n).up
     verdicts = []
     for i, (rep, cls) in enumerate(orbits):
         sim = tuple(sorted(u for j, (_, other) in enumerate(orbits)
                            if up[i] >> j & 1 and up[j] >> i & 1 for u in other))
-        hull = conv_hull(cls, cat)
+        hull = conv_hull(cls)
         weak = hull == cls  # is_weakly_reversible, on the hull already computed
         verdicts.append(sim == hull and weak == (sim == cls))
     return verdicts

@@ -208,14 +208,8 @@ def image_descriptor(f: SymbolicMap, d):
     if isinstance(d, SetDescriptor):
         return descriptor_of_nf(image_nf_omega(flatten_fin_support(f), nf(d)))
     if isinstance(d, ZDescriptor):
-        if isinstance(f, ShiftZ):
-            return image_z_descriptor(f, d)
-        if isinstance(f, Composition):
-            for m in f.maps:
-                d = image_descriptor(m, d)
-            return d
-        raise UnsupportedDescriptorError(
-            f"map {f!r} does not act on the z-extended line")
+        shift = f if isinstance(f, ShiftZ) else ShiftZ(_total_shift(f))
+        return image_z_descriptor(shift, d)
     raise UnsupportedDescriptorError(f"no image rule for {d!r}")
 
 
@@ -259,7 +253,9 @@ def image_topology_symbolic(f: SymbolicMap, topology) -> SymbolicImage:
     The obligations pair probe sets with their images written out by hand:
     a shift moves the bounds of the segments, and a finite-support
     permutation moves the excluded points of a cofinite set and the points
-    of a finite set, fixing the limit point."""
+    of a finite set.  On the convergent-sequence space each probe of the
+    naturals is taken once with the limit point, which stays fixed, and once
+    without it."""
     if isinstance(topology, OrderedZ):
         k = _total_shift(f)
         image = OrderedZ(topology.c + k)
@@ -269,22 +265,16 @@ def image_topology_symbolic(f: SymbolicMap, topology) -> SymbolicImage:
             + [(OpenLeftZ(b), OpenLeftZ(b + k))
                for b in range(topology.c - 2, topology.c + 1)])
         return SymbolicImage(f, topology, image, obligations)
-    if isinstance(topology, _OMEGA_GROUND):
+    if isinstance(topology, (*_OMEGA_GROUND, ConvSeq)):
         perm = flatten_fin_support(f)
         support = perm.support
         obligations = tuple(
             [(CofiniteSet(e), CofiniteSet(_moved(perm, e)))
              for e in ((), support, support[: len(support) // 2])]
             + [(FiniteSet(s), FiniteSet(_moved(perm, s))) for s in (support, ())])
-        return SymbolicImage(perm, topology, topology, obligations)
-    if isinstance(topology, ConvSeq):
-        perm = flatten_fin_support(f)
-        support, moved = perm.support, _moved(perm, perm.support)
-        obligations = (
-            (OmegaStarSet(CofiniteSet(support), star=True),
-             OmegaStarSet(CofiniteSet(moved), star=True)),
-            (OmegaStarSet(FiniteSet(support), star=False),
-             OmegaStarSet(FiniteSet(moved), star=False)))
+        if isinstance(topology, ConvSeq):
+            obligations = tuple((OmegaStarSet(before, star), OmegaStarSet(after, star))
+                                for before, after in obligations for star in (True, False))
         return SymbolicImage(perm, topology, topology, obligations)
     raise UnsupportedDescriptorError(
         f"no image-topology rule for {f!r} on {topology!r}")

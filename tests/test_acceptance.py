@@ -137,10 +137,10 @@ def test_criterion_4_class_convexity_and_weak_reversibility():
         cat = catalog(n)
         for t in cat.topologies:
             cls = homeo_class(t)
-            sim = sim_class(t, cat)
-            if sim != conv_hull(cls, cat):
+            sim = sim_class(t)
+            if sim != conv_hull(cls):
                 bad += 1
-            if is_weakly_reversible(t, cat) != (sim == cls):
+            if is_weakly_reversible(t) != (sim == cls):
                 bad += 1
     report("criterion-4 equivalence classes are convex hulls, n <= 4",
            bad == 0, f"violations={bad}")

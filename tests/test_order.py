@@ -79,26 +79,26 @@ def test_leq_is_preorder(cat2):
 
 def test_sim_class_collapses_to_homeo_class_n3(cat3):
     for t in cat3.topologies:
-        assert sim_class(t, cat3) == homeo_class(t)
+        assert sim_class(t) == homeo_class(t)
 
 
-def test_conv_hull_examples(cat2):
+def test_conv_hull_examples():
     anti = antidiscrete_topology(2)
-    assert conv_hull([anti], cat2) == (anti,)
-    assert conv_hull([SIERP, SIERP_FLIP], cat2) == (SIERP, SIERP_FLIP)
+    assert conv_hull([anti]) == (anti,)
+    assert conv_hull([SIERP, SIERP_FLIP]) == (SIERP, SIERP_FLIP)
 
 
 def test_conv_hull_matches_sim_class_n3(cat3):
     for t in cat3.topologies:
-        assert conv_hull(homeo_class(t), cat3) == sim_class(t, cat3)
+        assert conv_hull(homeo_class(t)) == sim_class(t)
 
 
 def test_weak_reversibility(cat3):
     assert is_weakly_reversible(discrete_topology(2))
     assert is_weakly_reversible(SIERP)
     for t in cat3.topologies:
-        weak = is_weakly_reversible(t, cat3)
-        assert weak == (sim_class(t, cat3) == homeo_class(t))
+        weak = is_weakly_reversible(t)
+        assert weak == (sim_class(t) == homeo_class(t))
         assert weak
 
 
@@ -108,7 +108,7 @@ def test_reversibility_bridges(cat3):
         if is_strongly_reversible(t):
             assert is_reversible(t)
         if is_reversible(t):
-            assert is_weakly_reversible(t, cat3)
+            assert is_weakly_reversible(t)
 
 
 def test_strong_reversibility_counts():
@@ -198,7 +198,7 @@ def test_maximal_chains_on_classes(cat3):
     report = maximal_chains_and_endpoints([discrete_topology(2)])
     assert report.chains == ((discrete_topology(2),),)
     for t in cat3.topologies:
-        assert maximal_chains_and_endpoints(sim_class(t, cat3)).all_singletons
+        assert maximal_chains_and_endpoints(sim_class(t)).all_singletons
 
 
 def test_maximal_chains_on_general_posets():

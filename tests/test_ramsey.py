@@ -125,6 +125,39 @@ def test_constant_or_increasing_examples():
     assert verify_result(stream, res)
 
 
+def test_constant_or_increasing_stops_at_the_first_qualifying_prefix():
+    """The stream stops at the first read where the value just read occurs
+    target times (constant, checked first) or the longest strictly increasing
+    run of the prefix reaches target."""
+    def longest_increasing(prefix):
+        best = [1] * len(prefix)
+        for j in range(len(prefix)):
+            for i in range(j):
+                if prefix[i] < prefix[j]:
+                    best[j] = max(best[j], best[i] + 1)
+        return max(best)
+
+    def reference(seq, target):
+        for end in range(1, len(seq) + 1):
+            prefix = seq[:end]
+            if prefix.count(prefix[-1]) == target:
+                return end - 1, KIND_CONSTANT
+            if longest_increasing(prefix) == target:
+                return end - 1, KIND_STRICTLY_INCREASING
+        return None
+
+    for n in range(1, 8):
+        for seq in product(range(3), repeat=n):
+            for target in range(1, 5):
+                res = constant_or_increasing(iter(seq), target, max(n, target))
+                want = reference(list(seq), target)
+                if want is None:
+                    assert res is None, (seq, target)
+                else:
+                    assert res is not None and (res.indices[-1], res.kind) == want, (seq, target)
+                    assert len(res.indices) == target and verify_result(seq, res)
+
+
 def test_constant_or_increasing_fuel_exhaustion():
     # strictly decreasing forever within fuel: neither branch can fire
     assert constant_or_increasing(lambda i: 1000 - i, 2, 50) is None

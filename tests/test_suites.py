@@ -29,20 +29,20 @@ from revtop.topology import canonical_form, homeo_class
 ORBIT_SUITES = ("fact11", "prop14", "thm31")
 
 
-def member_fact11(t, cat):
+def member_fact11(t):
     answers = {m: is_reversible(t, m) for m in REVERSIBILITY_METHODS}
     return len(set(answers.values())) == 1 and answers["antichain"]
 
 
-def member_prop14(t, cat):
+def member_prop14(t):
     cls = homeo_class(t)
-    sim = sim_class(t, cat)
-    hull = conv_hull(cls, cat)
-    weak = is_weakly_reversible(t, cat)
+    sim = sim_class(t)
+    hull = conv_hull(cls)
+    weak = is_weakly_reversible(t)
     return sim == hull and weak == (sim == cls)
 
 
-def member_thm31(t, cat):
+def member_thm31(t):
     brute = len(homeo_class(t)) == 1
     fast = is_strongly_reversible(t)
     label = classify_strongly_reversible(t)
@@ -84,7 +84,7 @@ def test_orbit_first_matches_per_member(name, n):
     cat = catalog(n)
     verdict = {t: ok for _, cls, ok in orbit_verdicts(name, cat) for t in cls}
     assert sorted(verdict) == list(cat.topologies)
-    answers = {t: MEMBER_CHECKS[name](t, cat) for t in cat.topologies}
+    answers = {t: MEMBER_CHECKS[name](t) for t in cat.topologies}
     assert answers == verdict
     assert SUITES[name](n) == per_member_result(name, cat, answers)
 
@@ -94,7 +94,7 @@ def test_orbit_first_matches_per_member_sample_n5(name):
     cat = catalog(5)
     verdict = {rep: ok for rep, _, ok in orbit_verdicts(name, cat)}
     for t in random.Random(5).sample(cat.topologies, 300):
-        assert MEMBER_CHECKS[name](t, cat) == verdict[canonical_form(t)], t
+        assert MEMBER_CHECKS[name](t) == verdict[canonical_form(t)], t
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -102,7 +102,7 @@ def test_conv_hull_matches_reference_on_classes(n):
     cat = catalog(n)
     for rep in cat.orbit_reps:
         cls = cat.orbits[rep]
-        assert conv_hull(cls, cat) == reference_conv_hull(cls, cat)
+        assert conv_hull(cls) == reference_conv_hull(cls, cat)
 
 
 def test_conv_hull_matches_reference_on_random_families(cat4):
@@ -110,11 +110,11 @@ def test_conv_hull_matches_reference_on_random_families(cat4):
     grew = 0
     for _ in range(500):
         family = rng.sample(cat4.topologies, rng.randint(1, 4))
-        hull = conv_hull(family, cat4)
+        hull = conv_hull(family)
         assert hull == reference_conv_hull(family, cat4)
         grew += len(hull) > len(family)
     assert grew > 100   # most hulls reach past the family itself
-    assert conv_hull([], cat4) == reference_conv_hull([], cat4) == ()
+    assert conv_hull([]) == reference_conv_hull([], cat4) == ()
 
 
 def test_verify_n4_golden_output():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from revtop import symbolic
 from revtop.descriptors import (
     STAR,
     BranchSet,
@@ -116,6 +117,9 @@ def test_image_descriptor_respects_composition():
     step = image_descriptor(FinSupportPerm.swap(1, 2),
                             image_descriptor(FinSupportPerm.swap(0, 1), CofiniteSet((0,))))
     assert image_descriptor(perms, CofiniteSet((0,))) == step == CofiniteSet((2,))
+    mixed = Composition((ShiftZ(1), FinSupportPerm.swap(0, 1)))
+    with pytest.raises(UnsupportedDescriptorError, match="z-extended line"):
+        image_descriptor(mixed, ClosedLeftZ(0))
 
 
 def test_image_descriptor_fin_support():
@@ -223,6 +227,16 @@ def test_image_obligations_are_pointwise_images(space):
             inside = {k for k in range(40) if nf_member(nf(before), k)}
             assert {k for k in range(40) if nf_member(nf(after), k)} == {
                 perm.apply(k) for k in inside}
+
+
+@pytest.mark.parametrize("space", [CoSmall(), ConvSeq()])
+def test_image_certificate_rejects_a_rule_that_moves_nothing(space, monkeypatch):
+    """The probes include sets the permutation moves, so an image rule that
+    returns its argument unchanged fails verify()."""
+    perm = FinSupportPerm(((1, 2), (2, 3), (3, 1), (5, 6), (6, 5)))
+    assert image_topology_symbolic(perm, space).verify()
+    monkeypatch.setattr(symbolic, "image_descriptor", lambda f, d: d)
+    assert not image_topology_symbolic(perm, space).verify()
 
 
 # --- almost-disjoint families -----------------------------------------------
