@@ -51,13 +51,21 @@ class SuiteResult:
 
 
 def suite_enum(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
-    """The preorder-built catalog and closure saturation must coincide."""
+    """The preorder-built catalog and Close-by-One closure enumeration must
+    coincide.  On a mismatch the detail names the least topology found by
+    only one of the two routes."""
     cat = catalog(n)
     oracle = enumerate_topologies_by_closure(n)
     agreed = sum(1 for a, b in zip(cat.topologies, oracle) if a == b)
     total = max(len(cat.topologies), len(oracle))
+    detail = f"count={len(cat.topologies)}"
+    only_one = set(cat.topologies).symmetric_difference(oracle) if cat.topologies != oracle else ()
+    if only_one:
+        first = min(only_one)
+        side = "catalog" if first in cat.topologies else "closure enumeration"
+        detail += f"; first difference: opens {list(first.opens)} only in the {side}"
     return SuiteResult("enum", agreed if len(cat.topologies) == len(oracle) else 0,
-                       total, f"count={len(cat.topologies)}")
+                       total, detail)
 
 
 def _fact11_verdicts(cat: TopologyCatalog, orbits) -> list[bool]:

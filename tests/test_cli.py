@@ -77,6 +77,21 @@ def test_verify_enum_suite():
     assert "count=29" in proc.stdout.decode()
 
 
+def test_verify_enum_names_the_first_difference(monkeypatch, capsys):
+    import revtop.suites
+    from revtop.cli import main
+    from revtop.enumeration import enumerate_topologies_by_closure
+
+    dropped = catalog(3).topologies[5]
+    monkeypatch.setattr(revtop.suites, "enumerate_topologies_by_closure",
+                        lambda n: tuple(t for t in enumerate_topologies_by_closure(n)
+                                        if t != dropped))
+    assert main(["verify", "--suite", "enum", "--n", "3"]) == 1
+    assert capsys.readouterr().out == (
+        f"enum: 0/29 agree (count=29; first difference: opens {list(dropped.opens)} "
+        "only in the catalog)\n")
+
+
 def test_verify_unknown_suite_is_usage_error():
     proc = run_cli("verify", "--suite", "nope", "--n", "2")
     assert proc.returncode == 2

@@ -30,9 +30,26 @@ def test_both_enumerators_agree(n, count):
     assert direct == oracle
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_against_brute_force_filter(n):
-    assert list(catalog(n).topologies) == brute_force_topologies(n)
+    # every family with the empty and full sets that is closed under pairwise
+    # union and intersection, found without adjoin_open or preorders
+    expected = brute_force_topologies(n)
+    oracle = enumerate_topologies_by_closure(n)
+    assert len(set(oracle)) == len(oracle)
+    assert list(oracle) == expected
+    assert list(catalog(n).topologies) == expected
+
+
+def test_closure_route_reads_no_preorders(monkeypatch):
+    import revtop.enumeration as enumeration
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closure route read the production catalog")
+
+    for name in ("enumerate_preorders", "topology_of_preorder", "catalog"):
+        monkeypatch.setattr(enumeration, name, forbidden)
+    assert len(enumeration.enumerate_topologies_by_closure(4)) == 355
 
 
 def test_every_member_is_valid(cat4):
