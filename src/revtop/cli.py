@@ -41,6 +41,9 @@ def _emit(text: str, path: str | None) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp makes the file 0600: give it open()'s mode (umask read by swapping)
+        os.umask(umask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,12 +70,11 @@ def cmd_classify(args) -> int:
     cat = catalog(args.n)
     rows = []
     for rep in cat.orbit_reps:
-        cls = cat.orbits[rep]
         rows.append({
             "opens": list(rep.opens),
-            "orbit_size": len(cls),
-            "reversible": is_reversible(rep, cls=cls),
-            "weakly_reversible": is_weakly_reversible(rep, cls),
+            "orbit_size": len(cat.orbits[rep]),
+            "reversible": is_reversible(rep),
+            "weakly_reversible": is_weakly_reversible(rep),
             "strongly_reversible": is_strongly_reversible(rep),
             "classification": classify_strongly_reversible(rep).value,
         })
@@ -260,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TopologyError, ValueError, KeyError, OSError) as exc:
+    except (TopologyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AssertionError as exc:

@@ -1,10 +1,10 @@
 """The condensational preorder on topologies and the reversibility hierarchy.
 
-Everything here quantifies over permutations of the finite ground set:
-homeomorphism classes, the four equivalent reversibility tests, the three
+Homeomorphism classes, the four equivalent reversibility tests, the three
 equivalent formulations of the condensational ordering, convex hulls and
 weak reversibility, strong reversibility with its classification, the
-quotient order digraph, maximal chains, and poset certificates.
+quotient order digraph, maximal chains, and poset certificates.  Production
+paths read orbits from ``catalog(n)``; the permutation searches are the second route.
 """
 from __future__ import annotations
 
@@ -36,17 +36,16 @@ def _opens_subset(a: FiniteTopology, b_set: frozenset[int]) -> bool:
     return all(o in b_set for o in a.opens)
 
 
-def is_reversible(t: FiniteTopology, method: str = "antichain",
-                  cls: tuple[FiniteTopology, ...] | None = None) -> bool:
+def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
     """Is every continuous self-bijection of (X, t) a homeomorphism?
 
     All four methods are equivalent; each is implemented independently so
     they can be tested against one another.  The three that read the
-    homeomorphism class take it from cls when given (a catalog orbit)
-    instead of rebuilding it; "direct" searches the permutations itself.
+    homeomorphism class need t.n within the point cap, for ``catalog(t.n)``;
+    "direct" searches the permutations itself.
     """
-    if method in ("no_coarser", "no_finer", "antichain") and cls is None:
-        cls = homeo_class(t)
+    if method in ("no_coarser", "no_finer", "antichain"):
+        cls = catalog(t.n).orbits.get(t) or homeo_class(t)
     if method == "no_coarser":
         t_set = frozenset(t.opens)
         return not any(u != t and _opens_subset(u, t_set) for u in cls)
@@ -107,13 +106,14 @@ def sim_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
     """All members u of ``catalog(t.n)`` with t <= u <= t in the
     condensational preorder, sorted.
 
-    A copy of t inside u has as many opens as t, so t <= u <= t needs equal
-    open counts, and then the copy is all of u: only members whose opens have
-    the same sizes as those of t are compared."""
+    t <= u is invariant under relabelling u, so orbits are compared at their
+    representatives, and t <= u <= t needs equal open counts (the copy of t is
+    then all of u): only orbits with the open sizes of t are compared."""
     k, sizes = len(t.opens), _open_sizes(t)
-    return tuple(sorted(u for u in catalog(t.n).topologies
-                        if len(u.opens) == k and _open_sizes(u) == sizes
-                        and condensational_leq(t, u) and condensational_leq(u, t)))
+    return tuple(sorted(u for rep, orbit in catalog(t.n).orbits.items()
+                        if len(rep.opens) == k and _open_sizes(rep) == sizes
+                        and condensational_leq(t, rep) and condensational_leq(rep, t)
+                        for u in orbit))
 
 
 def conv_hull(topologies) -> tuple[FiniteTopology, ...]:
@@ -129,6 +129,8 @@ def conv_hull(topologies) -> tuple[FiniteTopology, ...]:
     tops = set(topologies)
     if not tops:
         return ()
+    if len({t.n for t in tops}) > 1:
+        raise DimensionMismatchError("family mixes topologies on different ground sets")
     by_count = catalog(next(iter(tops)).n).by_open_count
     family = [(len(u.opens), opens_bitset(u)) for u in tops]
     members = {bits for _, bits in family}
@@ -145,11 +147,9 @@ def conv_hull(topologies) -> tuple[FiniteTopology, ...]:
     return tuple(sorted(out))
 
 
-def is_weakly_reversible(t: FiniteTopology,
-                         cls: tuple[FiniteTopology, ...] | None = None) -> bool:
-    """True iff the homeomorphism class of t (cls when given) is convex in
-    the inclusion lattice."""
-    cls = cls if cls is not None else homeo_class(t)
+def is_weakly_reversible(t: FiniteTopology) -> bool:
+    """True iff the homeomorphism class of t is convex in the inclusion lattice."""
+    cls = catalog(t.n).orbits.get(t) or homeo_class(t)
     return conv_hull(cls) == cls
 
 
@@ -210,6 +210,8 @@ def _covers(up) -> list[int]:
 def _inclusion_up(elems) -> list[int]:
     """Up-set rows of a family of distinct topologies ordered by inclusion of
     their open families."""
+    if len({t.n for t in elems}) > 1:
+        raise DimensionMismatchError("family mixes topologies on different ground sets")
     bits = [opens_bitset(t) for t in elems]
     return [sum(1 << j for j, b in enumerate(bits) if a & b == a) for a in bits]
 
@@ -252,12 +254,16 @@ class CondOrderDigraph:
 
 
 def condensational_order(n: int) -> CondOrderDigraph:
-    """The condensational order on the orbits of ``catalog(n)``, with Hasse edges."""
+    """The condensational order on the orbits of ``catalog(n)``, with Hasse
+    edges: orbit i is below orbit j iff a member of i is coarser than rep j."""
     cat = catalog(n)
     reps = cat.orbit_reps
-    up = tuple(sum(1 << j for j, b in enumerate(reps)
-                   if len(b.opens) >= len(a.opens) and condensational_leq(a, b))
-               for a in reps)
+    cols = [(len(b.opens), ~opens_bitset(b)) for b in reps]
+    members = [[opens_bitset(u) for u in cat.orbits[a]] for a in reps]
+    # u is coarser than rep j (so k >= len(u.opens)) iff no open of u is outside it
+    up = tuple(sum(1 << j for j, (k, outside) in enumerate(cols)
+                   if k >= len(a.opens) and 0 in map(outside.__and__, bits))
+               for a, bits in zip(reps, members))
     hasse = tuple((i, j) for i, row in enumerate(_covers(up)) for j in _bits(row))
     return CondOrderDigraph(n, reps, cat.orbit_sizes(), up, hasse)
 

@@ -26,10 +26,10 @@ from .order import (
     StrongKind,
     classify_strongly_reversible,
     condensational_leq,
-    condensational_order,
     conv_hull,
     is_reversible,
     is_strongly_reversible,
+    sim_class,
 )
 from .topology import FiniteTopology
 
@@ -68,31 +68,26 @@ def suite_enum(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
                        total, detail)
 
 
-def _fact11_verdicts(cat: TopologyCatalog, orbits) -> list[bool]:
+def _fact11_verdicts(orbits) -> list[bool]:
     """The four reversibility tests agree (and hold) at the representative."""
-    return [{is_reversible(rep, m, cls) for m in REVERSIBILITY_METHODS} == {True}
-            for rep, cls in orbits]
+    return [{is_reversible(rep, m) for m in REVERSIBILITY_METHODS} == {True}
+            for rep, _ in orbits]
 
 
-def _prop14_verdicts(cat: TopologyCatalog, orbits) -> list[bool]:
-    """The equivalence class is the convex hull of the orbit, and the orbit is
-    convex exactly when it is the whole equivalence class.
-
-    The equivalence class of an orbit is the union of the orbits mutually
-    below it in the condensational order, whose rows come from the
-    permutation search and not from the catalog's orbits."""
-    up = condensational_order(cat.n).up
+def _prop14_verdicts(orbits) -> list[bool]:
+    """The equivalence class, from :func:`sim_class` and so from the permutation
+    search, is the convex hull of the orbit, and the orbit is convex exactly
+    when it is the whole equivalence class."""
     verdicts = []
-    for i, (rep, cls) in enumerate(orbits):
-        sim = tuple(sorted(u for j, (_, other) in enumerate(orbits)
-                           if up[i] >> j & 1 and up[j] >> i & 1 for u in other))
+    for rep, cls in orbits:
+        sim = sim_class(rep)
         hull = conv_hull(cls)
         weak = hull == cls  # is_weakly_reversible, on the hull already computed
         verdicts.append(sim == hull and weak == (sim == cls))
     return verdicts
 
 
-def _thm31_verdicts(cat: TopologyCatalog, orbits) -> list[bool]:
+def _thm31_verdicts(orbits) -> list[bool]:
     """The transposition test and the classification both agree with the
     orbit having a single member."""
     verdicts = []
@@ -124,7 +119,7 @@ def orbit_verdicts(name: str, cat: TopologyCatalog) -> list[
         raise AssertionError(f"orbit sizes sum to {covered}, "
                              f"but the catalog has {len(cat.topologies)} topologies")
     orbits = [(rep, cat.orbits[rep]) for rep in cat.orbit_reps]
-    verdicts = _ORBIT_VERDICTS[name](cat, orbits)
+    verdicts = _ORBIT_VERDICTS[name](orbits)
     return [(rep, cls, ok) for (rep, cls), ok in zip(orbits, verdicts)]
 
 
@@ -188,9 +183,7 @@ SUITES = {
 
 
 def run_suites(names, n: int, seed: int = 0, samples: int = 10000) -> list[SuiteResult]:
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        results.append(SUITES[name](n, seed=seed, samples=samples))
-    return results
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; choose from {sorted(SUITES)}")
+    return [SUITES[name](n, seed=seed, samples=samples) for name in names]

@@ -10,7 +10,7 @@ or raises UnsupportedDescriptorError at the fragment boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .descriptors import (
     STAR,
@@ -137,14 +137,11 @@ class Refined:
     """
 
     family: ADFamily
-    base: ConvSeq = field(default_factory=ConvSeq)
 
     @property
     def removed(self) -> tuple[BranchSet, ...]:
         return self.family.members
 
-
-SymbolicTopology = (DiscreteOmega, AntidiscreteOmega, CoSmall, OrderedZ, ConvSeq, Refined)
 
 _OMEGA_GROUND = (DiscreteOmega, AntidiscreteOmega, CoSmall)
 

@@ -1,4 +1,5 @@
 import json
+import stat
 import subprocess
 import sys
 
@@ -28,11 +29,14 @@ def test_enum_json_lines_match_catalog():
 
 
 def test_enum_writes_file_atomically(tmp_path):
-    target = tmp_path / "out.jsonl"
+    target, plain = tmp_path / "out.jsonl", tmp_path / "plain"
     proc = run_cli("enum", "--n", "2", "--format", "json", "--out", str(target))
     assert proc.returncode == 0
     assert len(target.read_text().splitlines()) == 4
     assert not list(tmp_path.glob(".revtop-*"))
+    # the file gets the mode a plain write under the same umask gives
+    plain.write_text("")
+    assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_classify_formats():
@@ -92,9 +96,19 @@ def test_verify_enum_names_the_first_difference(monkeypatch, capsys):
         "only in the catalog)\n")
 
 
-def test_verify_unknown_suite_is_usage_error():
+def test_verify_unknown_suite_is_usage_error(monkeypatch, capsys):
     proc = run_cli("verify", "--suite", "nope", "--n", "2")
     assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: unknown suite 'nope'; choose from ")
+    # every name is checked before the first suite runs
+    import revtop.suites
+    from revtop.cli import main
+
+    ran = []
+    monkeypatch.setitem(revtop.suites.SUITES, "fact11", lambda n, **kw: ran.append(n))
+    assert main(["verify", "--suite", "fact11,nope", "--n", "2"]) == 2
+    assert ran == []
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("args", [

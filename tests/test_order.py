@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import needs_n5
+
 from revtop.enumeration import catalog
 from revtop.order import (
     LEQ_METHODS,
@@ -77,15 +79,22 @@ def test_leq_is_preorder(cat2):
                     assert condensational_leq(a, c)
 
 
-def test_sim_class_collapses_to_homeo_class_n3(cat3):
-    for t in cat3.topologies:
-        assert sim_class(t) == homeo_class(t)
+def test_sim_class_collapses_to_homeo_class_n3(cat3, cat4):
+    for cat in (cat3, cat4):
+        for t in cat.topologies:
+            assert sim_class(t) == homeo_class(t)
 
 
 def test_conv_hull_examples():
     anti = antidiscrete_topology(2)
     assert conv_hull([anti]) == (anti,)
     assert conv_hull([SIERP, SIERP_FLIP]) == (SIERP, SIERP_FLIP)
+
+
+@pytest.mark.parametrize("call", [conv_hull, maximal_chains_and_endpoints, poset_invariant])
+def test_mixed_ground_sizes_are_rejected(call):
+    with pytest.raises(DimensionMismatchError):
+        call([antidiscrete_topology(2), discrete_topology(3)])
 
 
 def test_conv_hull_matches_sim_class_n3(cat3):
@@ -160,6 +169,26 @@ def reference_hasse(digraph):
             if i != j and leq(digraph, i, j)
             and not any(x not in (i, j) and leq(digraph, i, x) and leq(digraph, x, j)
                         for x in range(k))]
+
+
+def assert_order_matches_leq(n, methods):
+    """Every bit of the production order, read from the catalog's orbits,
+    equals the permutation search on the pair of representatives."""
+    digraph = condensational_order(n)
+    for i, a in enumerate(digraph.nodes):
+        for j, b in enumerate(digraph.nodes):
+            for m in methods:
+                assert leq(digraph, i, j) == condensational_leq(a, b, m), (a, b, m)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_condensational_order_matches_leq_methods(n):
+    assert_order_matches_leq(n, LEQ_METHODS)
+
+
+@needs_n5
+def test_condensational_order_matches_leq_n5():
+    assert_order_matches_leq(5, ("coarsening_of_t2_side",))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
