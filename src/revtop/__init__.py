@@ -1,6 +1,11 @@
 """Decision procedures for reversible, weakly reversible and strongly
 reversible topologies: exact finite-topology combinatorics plus a symbolic
-engine for the countable model spaces."""
+engine for the countable model spaces.
+
+The package root exports the finite layer only.  The countable layer is
+imported from its own modules, so that finite work does not load it:
+:mod:`revtop.symbolic` (model spaces, witnesses and certificates) and
+:mod:`revtop.descriptors` (the normal-form algebra of countable sets)."""
 
 from .topology import (
     FiniteTopology,
@@ -33,7 +38,6 @@ from .enumeration import (
     enumerate_topologies_by_closure,
     enumerate_topologies_via_preorders,
     preorder_of_topology,
-    topology_of_preorder,
 )
 from .order import (
     CondOrderDigraph,
@@ -56,46 +60,6 @@ from .ramsey import (
     constant_or_injective,
     homogeneous_pairs,
     verify_result,
-)
-from .symbolic import (
-    ADFamily,
-    AntidiscreteOmega,
-    ConvSeq,
-    CoSmall,
-    DiscreteOmega,
-    EventualSequence,
-    ConstantTail,
-    EnumerationTail,
-    NoBetaAvailableError,
-    OrderedZ,
-    Refined,
-    ad_family,
-    blocking_nbhd,
-    construct_o_star,
-    converges,
-    f_m_closed_check,
-    image_descriptor,
-    image_topology_symbolic,
-    increasing_chain,
-    member_open,
-    nonreversibility_witness,
-    star_in_closure_check,
-    unique_limits_check,
-)
-from .descriptors import (
-    STAR,
-    Z_FIRST,
-    BranchSet,
-    ClosedLeftZ,
-    CofiniteSet,
-    Composition,
-    FiniteSet,
-    FinSupportPerm,
-    OmegaStarSet,
-    OpenLeftZ,
-    ShiftZ,
-    UnsupportedDescriptorError,
-    Word,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -29,6 +29,7 @@ from .order import (
     conv_hull,
     is_reversible,
     is_strongly_reversible,
+    is_weakly_reversible,
     sim_class,
 )
 from .topology import FiniteTopology
@@ -76,14 +77,12 @@ def _fact11_verdicts(orbits) -> list[bool]:
 
 def _prop14_verdicts(orbits) -> list[bool]:
     """The equivalence class, from :func:`sim_class` and so from the permutation
-    search, is the convex hull of the orbit, and the orbit is convex exactly
-    when it is the whole equivalence class."""
+    search, is the convex hull of the orbit, and :func:`is_weakly_reversible`
+    holds exactly when the orbit is the whole equivalence class."""
     verdicts = []
     for rep, cls in orbits:
         sim = sim_class(rep)
-        hull = conv_hull(cls)
-        weak = hull == cls  # is_weakly_reversible, on the hull already computed
-        verdicts.append(sim == hull and weak == (sim == cls))
+        verdicts.append(sim == conv_hull(cls) and is_weakly_reversible(rep) == (sim == cls))
     return verdicts
 
 
@@ -127,10 +126,22 @@ def _agreed(verdicts) -> int:
     return sum(len(cls) for _, cls, ok in verdicts if ok)
 
 
+def _first_disagreement(verdicts) -> str:
+    """Names the first orbit representative whose verdict failed, or ''."""
+    return next((f"first disagreement: opens {list(rep.opens)}"
+                 for rep, _, ok in verdicts if not ok), "")
+
+
+def _orbit_suite(name: str, n: int) -> SuiteResult:
+    cat = catalog(n)
+    verdicts = orbit_verdicts(name, cat)
+    return SuiteResult(name, _agreed(verdicts), len(cat.topologies),
+                       _first_disagreement(verdicts))
+
+
 def suite_fact11(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """The four reversibility tests agree (and hold) on every catalog member."""
-    cat = catalog(n)
-    return SuiteResult("fact11", _agreed(orbit_verdicts("fact11", cat)), len(cat.topologies))
+    return _orbit_suite("fact11", n)
 
 
 def suite_fact12(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
@@ -155,8 +166,7 @@ def suite_fact12(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
 def suite_prop14(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """Equivalence classes are the convex hulls of homeomorphism classes, and
     weak reversibility is exactly their coincidence."""
-    cat = catalog(n)
-    return SuiteResult("prop14", _agreed(orbit_verdicts("prop14", cat)), len(cat.topologies))
+    return _orbit_suite("prop14", n)
 
 
 def suite_thm31(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
@@ -167,7 +177,8 @@ def suite_thm31(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     agreed = _agreed(verdicts)
     strong = sum(len(cls) for rep, cls, _ in verdicts if is_strongly_reversible(rep))
     expected = 1 if n <= 1 else 2
-    detail = f"strongly_reversible={strong} expected={expected}"
+    detail = "; ".join(filter(None, (f"strongly_reversible={strong} expected={expected}",
+                                      _first_disagreement(verdicts))))
     if strong != expected:
         agreed = 0
     return SuiteResult("thm31", agreed, len(cat.topologies), detail)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from revtop.enumeration import catalog
+from revtop.enumeration import Preorder, catalog
 from revtop.topology import (
     FiniteTopology,
     TopologyError,
@@ -32,6 +32,23 @@ def brute_force_topologies(n: int) -> list[FiniteTopology]:
             except TopologyError:
                 continue
     return sorted(set(out))
+
+
+def topology_of_preorder(p: Preorder) -> FiniteTopology:
+    """Oracle for the up-set (Alexandrov) topology: test every one of the 2^n
+    point sets for being up-closed."""
+    full = full_mask(p.n)
+    opens = []
+    for m in range(full + 1):
+        rest = m
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            if p.up[i] | m != m:
+                break
+            rest &= rest - 1
+        else:
+            opens.append(m)
+    return FiniteTopology(p.n, tuple(opens))
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,15 @@ def run_cli(*args, stdin: str = ""):
                           timeout=120)
 
 
+def test_parser_leaves_the_countable_layer_unloaded():
+    code = ("import sys, revtop.cli\n"
+            "revtop.cli.build_parser()\n"
+            "print(sorted(m for m in ('revtop.symbolic', 'revtop.descriptors') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
 def test_enum_summary():
     proc = run_cli("enum", "--n", "3", "--format", "summary")
     assert proc.returncode == 0

@@ -1,15 +1,16 @@
 import pytest
 
-from conftest import brute_force_topologies
+from conftest import brute_force_topologies, topology_of_preorder
 
+import revtop.enumeration as enumeration
 from revtop.enumeration import (
     Preorder,
+    _up_opens,
     catalog,
     enumerate_preorders,
     enumerate_topologies,
     enumerate_topologies_by_closure,
     preorder_of_topology,
-    topology_of_preorder,
 )
 from revtop.topology import (
     CapExceededError,
@@ -19,7 +20,7 @@ from revtop.topology import (
     validate_topology,
 )
 
-KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
+KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}   # OEIS A000798
 
 
 @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
@@ -42,14 +43,23 @@ def test_against_brute_force_filter(n):
 
 
 def test_closure_route_reads_no_preorders(monkeypatch):
-    import revtop.enumeration as enumeration
-
     def forbidden(*args, **kwargs):
         raise AssertionError("the closure route read the production catalog")
 
-    for name in ("enumerate_preorders", "topology_of_preorder", "catalog"):
+    for name in ("_preorder_rows", "_up_opens", "enumerate_preorders",
+                 "enumerate_topologies_via_preorders", "catalog"):
         monkeypatch.setattr(enumeration, name, forbidden)
     assert len(enumeration.enumerate_topologies_by_closure(4)) == 355
+
+
+def test_closure_route_prunes_by_inherited_failures(monkeypatch):
+    # Close-by-One without the inherited failures closes 956 times at n=4
+    calls = []
+    adjoin = enumeration.adjoin_open
+    monkeypatch.setattr(enumeration, "adjoin_open",
+                        lambda opens, g: calls.append(g) or adjoin(opens, g))
+    assert len(enumeration.enumerate_topologies_by_closure(4)) == 355
+    assert len(calls) < 956
 
 
 def test_every_member_is_valid(cat4):
@@ -59,13 +69,17 @@ def test_every_member_is_valid(cat4):
 
 def test_preorder_count_matches_topology_count():
     for n in range(5):
-        assert len(enumerate_preorders(n)) == KNOWN_COUNTS[n]
+        rows = [p.up for p in enumerate_preorders(n)]
+        assert len(rows) == KNOWN_COUNTS[n]
+        assert rows == sorted(set(rows))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_round_trips(n):
     for p in enumerate_preorders(n):
         assert preorder_of_topology(topology_of_preorder(p)) == p
+        # the catalog's union-closed up-sets against the scan of all 2^n point sets
+        assert FiniteTopology(n, _up_opens(p.up)) == topology_of_preorder(p)
     for t in catalog(n).topologies:
         assert topology_of_preorder(preorder_of_topology(t)) == t
 

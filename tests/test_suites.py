@@ -117,6 +117,44 @@ def test_conv_hull_matches_reference_on_random_families(cat4):
     assert conv_hull([]) == reference_conv_hull([], cat4) == ()
 
 
+# Every verdict that classify prints, replaced by a wrong constant.  Every
+# finite space is reversible, hence weakly reversible, so the first two
+# verdicts are only wrong as False.
+WRONG_VERDICTS = [("is_reversible", False), ("is_weakly_reversible", False),
+                  ("is_strongly_reversible", False), ("is_strongly_reversible", True)] + [
+    ("classify_strongly_reversible", kind) for kind in StrongKind]
+
+
+@pytest.mark.parametrize("name,value", WRONG_VERDICTS)
+def test_every_printed_verdict_is_checked(monkeypatch, name, value):
+    import revtop.order
+    import revtop.suites
+    for module in (revtop.order, revtop.suites):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: value)
+    results = [SUITES[suite](4) for suite in ORBIT_SUITES]
+    assert not all(r.ok for r in results)
+    for r in results:
+        if not r.ok:
+            first = next(rep for rep, _, ok in orbit_verdicts(r.name, catalog(4)) if not ok)
+            assert f"first disagreement: opens {list(first.opens)}" in r.detail
+
+
+def test_verify_names_the_first_disagreement(monkeypatch, capsys):
+    import revtop.suites
+    from revtop.cli import main
+
+    cat = catalog(3)
+    bad = cat.orbit_reps[4]
+    monkeypatch.setattr(revtop.suites, "is_weakly_reversible",
+                        lambda t: (t != bad) == is_weakly_reversible(t))
+    assert main(["verify", "--suite", "fact11,prop14,thm31", "--n", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "fact11: 29/29 agree\n"
+        f"prop14: {29 - len(cat.orbits[bad])}/29 agree "
+        f"(first disagreement: opens {list(bad.opens)})\n"
+        "thm31: 29/29 agree (strongly_reversible=2 expected=2)\n")
+
+
 def test_verify_n4_golden_output():
     proc = subprocess.run(
         [sys.executable, "-m", "revtop", "verify", "--suite", "enum,fact11,fact12,prop14,thm31",
