@@ -24,6 +24,7 @@ from .topology import (
     adjoin_open,
     antidiscrete_topology,
     check_ground,
+    computed_topologies,
     full_mask,
     opens_bitset,
     orbit_opens,
@@ -57,17 +58,20 @@ class Preorder:
                     raise TopologyError(f"relation not transitive via {i} <= {j}")
 
 
-def _preorder_rows(n: int):
-    """The up-set row tuples of all preorders on n points, in increasing
+def _preorders(n: int):
+    """(up-set rows, opens) of every preorder on n points, rows in increasing
     order: a depth-first search that gives point i each up-set containing i
-    that is consistent with the rows already fixed."""
+    that is consistent with the rows already fixed.  The opens of its up-set
+    (Alexandrov) topology are all unions of the rows, so the search carries
+    the union closure of the rows fixed so far and extends it by each new
+    row; the closures of a shared prefix are built once."""
     check_ground(n)
     candidates = [[m for m in range(1 << n) if m >> i & 1] for i in range(n)]
     rows = [0] * n
 
-    def extend(i: int):
+    def extend(i: int, opens: set[int]):
         if i == n:
-            yield tuple(rows)
+            yield tuple(rows), opens
             return
         for m in candidates[i]:
             for j in range(i):
@@ -78,23 +82,14 @@ def _preorder_rows(n: int):
                     break
             else:
                 rows[i] = m
-                yield from extend(i + 1)
+                yield from extend(i + 1, opens | {o | m for o in opens})
 
-    return extend(0)
+    return extend(0, {0})
 
 
 def enumerate_preorders(n: int) -> tuple[Preorder, ...]:
     """All preorders on n points, sorted by their up-set rows."""
-    return tuple(Preorder(n, rows) for rows in _preorder_rows(n))
-
-
-def _up_opens(up) -> tuple[int, ...]:
-    """The opens of the up-set (Alexandrov) topology of a preorder given by
-    its up-set rows: every union of principal up-sets, sorted."""
-    opens = {0}
-    for row in up:
-        opens |= {o | row for o in opens}
-    return tuple(sorted(opens))
+    return tuple(Preorder(n, rows) for rows, _ in _preorders(n))
 
 
 def preorder_of_topology(t: FiniteTopology) -> Preorder:
@@ -147,14 +142,14 @@ def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
                 failed[g] = child[:cut]
         found.extend(child for child, _ in children)
         stack.extend((child, g, failed) for child, g in children)
-    return tuple(FiniteTopology(n, o) for o in sorted(found))
+    return computed_topologies(n, sorted(found))
 
 
 def enumerate_topologies_via_preorders(n: int) -> tuple[FiniteTopology, ...]:
     """Every preorder transported through the bijection, sorted: the
     topologies of the production catalog.  The open families are sorted as
     tuples, before any value is built."""
-    return tuple(FiniteTopology(n, o) for o in sorted(map(_up_opens, _preorder_rows(n))))
+    return computed_topologies(n, sorted(tuple(sorted(opens)) for _, opens in _preorders(n)))
 
 
 @dataclass(frozen=True)
@@ -193,13 +188,18 @@ def enumerate_topologies(n: int) -> TopologyCatalog:
     """Catalog of all topologies on n points, built from the preorders.
 
     Each orbit lists the catalog's own values, found by their open families,
-    so no topology is built twice."""
+    so no topology is built twice; an orbit image that is not an unclaimed
+    catalog member is a program fault."""
     topologies = enumerate_topologies_via_preorders(n)
     orbits: dict[FiniteTopology, tuple[FiniteTopology, ...]] = {}
     unseen = {t.opens: t for t in topologies}
     for t in topologies:
         if t.opens in unseen:
-            members = tuple(unseen.pop(o) for o in orbit_opens(t))
+            try:
+                members = tuple(map(unseen.pop, orbit_opens(t)))
+            except KeyError as exc:
+                raise AssertionError(f"an image of opens {list(t.opens)} is not an "
+                                     f"unclaimed catalog member") from exc
             orbits[members[0]] = members
     reps = tuple(sorted(orbits))
     return TopologyCatalog(n, topologies, reps, orbits)

@@ -4,25 +4,29 @@ Homeomorphism classes, the four equivalent reversibility tests, the three
 equivalent formulations of the condensational ordering, convex hulls and
 weak reversibility, strong reversibility with its classification, the
 quotient order digraph, maximal chains, and poset certificates.  Production
-paths read orbits from ``catalog(n)``; the permutation searches are the second route.
+paths read orbits from ``catalog(n)``: the quotient order is the reachability
+of one-open adjoins between orbits, and a convex hull scans catalog members
+only at open counts strictly inside its family's range.  The permutation
+searches are the second route.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .enumeration import catalog
 from .topology import (
     DimensionMismatchError,
     FiniteTopology,
+    adjoin_open,
     antidiscrete_topology,
     discrete_topology,
+    full_mask,
     homeo_class,
+    image_opens,
     image_topology,
-    is_condensation,
-    is_homeomorphism,
     mask_tables,
     opens_bitset,
     preimages_open,
@@ -59,10 +63,11 @@ def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
                     return False
         return True
     if method == "direct":
-        for f in permutations(range(t.n)):
-            if is_condensation(f, t, t) and not is_homeomorphism(f, t, t):
-                return False
-        return True
+        # a continuous self-bijection whose image family is not t itself;
+        # the permutations need no check
+        opens = frozenset(t.opens)
+        return not any(preimages_open(f, opens, t.opens) and image_opens(f, t.opens) != t.opens
+                       for f in permutations(range(t.n)))
     raise ValueError(f"unknown reversibility method {method!r}")
 
 
@@ -121,30 +126,35 @@ def conv_hull(topologies) -> tuple[FiniteTopology, ...]:
     between two members (inclusive bounds).
 
     A candidate strictly above a member has more opens and one strictly below
-    has fewer, so only members of ``catalog(n)`` whose open count lies
-    between the family's least and greatest are tested; a candidate with k
-    opens is in the hull iff it is a member, or some member with fewer than k
-    opens lies below it and some member with more than k opens lies above it.
+    has fewer, so a candidate with k opens is in the hull iff it is a member,
+    or some member with fewer than k opens lies below it and some member with
+    more than k opens lies above it.  At the family's least and greatest open
+    counts only members qualify; only the counts strictly between them scan
+    the members of ``catalog(n)``.  An orbit has one open count, so its hull
+    costs O(|orbit|).
     """
     tops = set(topologies)
     if not tops:
         return ()
     if len({t.n for t in tops}) > 1:
         raise DimensionMismatchError("family mixes topologies on different ground sets")
-    by_count = catalog(next(iter(tops)).n).by_open_count
-    family = [(len(u.opens), opens_bitset(u)) for u in tops]
-    members = {bits for _, bits in family}
-    counts = [k for k, _ in family]
-    out = []
-    for k in range(min(counts), max(counts) + 1):
-        below = [a for j, a in family if j < k]
-        above = [b for j, b in family if j > k]
-        bits, cands = by_count.get(k, ((), ()))
-        for c, cand in zip(bits, cands):
-            if c in members or (any(a & c == a for a in below)
-                                and any(c & b == c for b in above)):
-                out.append(cand)
-    return tuple(sorted(out))
+    counts = {len(t.opens) for t in tops}
+    lo, hi = min(counts), max(counts)
+    out = [u for u in tops if len(u.opens) in (lo, hi)]
+    if hi - lo > 1:
+        family = [(len(u.opens), opens_bitset(u)) for u in tops]
+        members = {bits for _, bits in family}
+        by_count = catalog(next(iter(tops)).n).by_open_count
+        for k in range(lo + 1, hi):
+            below = [a for j, a in family if j < k]
+            above = [b for j, b in family if j > k]
+            bits, cands = by_count.get(k, ((), ()))
+            for c, cand in zip(bits, cands):
+                if c in members or (any(a & c == a for a in below)
+                                    and any(c & b == c for b in above)):
+                    out.append(cand)
+    # one ground set, so the opens alone order the topologies
+    return tuple(sorted(out, key=attrgetter("opens")))
 
 
 def is_weakly_reversible(t: FiniteTopology) -> bool:
@@ -255,15 +265,32 @@ class CondOrderDigraph:
 
 def condensational_order(n: int) -> CondOrderDigraph:
     """The condensational order on the orbits of ``catalog(n)``, with Hasse
-    edges: orbit i is below orbit j iff a member of i is coarser than rep j."""
+    edges: orbit i is below orbit j iff a member of i is coarser than rep j.
+
+    Every topology finer than rep i is reached from it by adjoining its extra
+    opens one at a time, and relabelling commutes with :func:`adjoin_open`.
+    So the order is the reflexive-transitive closure of the graph
+    i -> orbit of ``adjoin_open(rep i, g)`` over the point sets g not open in
+    rep i.  Each child has more opens, so one pass over the representatives
+    in decreasing open count ORs in the finished rows of the children."""
     cat = catalog(n)
     reps = cat.orbit_reps
-    cols = [(len(b.opens), ~opens_bitset(b)) for b in reps]
-    members = [[opens_bitset(u) for u in cat.orbits[a]] for a in reps]
-    # u is coarser than rep j (so k >= len(u.opens)) iff no open of u is outside it
-    up = tuple(sum(1 << j for j, (k, outside) in enumerate(cols)
-                   if k >= len(a.opens) and 0 in map(outside.__and__, bits))
-               for a, bits in zip(reps, members))
+    orbit_of = {u.opens: i for i, rep in enumerate(reps) for u in cat.orbits[rep]}
+    sets = range(1, full_mask(n))
+    up = [0] * len(reps)
+    for i in sorted(range(len(reps)), key=lambda i: -len(reps[i].opens)):
+        opens = reps[i].opens
+        present = set(opens)
+        row = 1 << i
+        for g in sets:
+            if g not in present:
+                child = orbit_of.get(adjoin_open(opens, g))
+                if child is None:
+                    raise AssertionError(f"adjoining {g} to opens {list(opens)} "
+                                         f"leaves the catalog")
+                row |= up[child]
+        up[i] = row
+    up = tuple(up)
     hasse = tuple((i, j) for i, row in enumerate(_covers(up)) for j in _bits(row))
     return CondOrderDigraph(n, reps, cat.orbit_sizes(), up, hasse)
 

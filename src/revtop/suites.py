@@ -146,7 +146,8 @@ def suite_fact11(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
 
 def suite_fact12(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """The three ordering tests agree on ordered pairs (all pairs for n <= 3,
-    seeded samples above that)."""
+    seeded samples above that).  On a disagreement the detail names the
+    first pair the tests disagree on."""
     cat = catalog(n)
     tops = cat.topologies
     if n <= 3:
@@ -156,11 +157,14 @@ def suite_fact12(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
         pairs = [(tops[rng.randrange(len(tops))], tops[rng.randrange(len(tops))])
                  for _ in range(samples)]
     agreed = 0
+    detail = ""
     for a, b in pairs:
         answers = {condensational_leq(a, b, m) for m in LEQ_METHODS}
         if len(answers) == 1:
             agreed += 1
-    return SuiteResult("fact12", agreed, len(pairs))
+        elif not detail:
+            detail = f"first disagreement: opens {list(a.opens)} vs opens {list(b.opens)}"
+    return SuiteResult("fact12", agreed, len(pairs), detail)
 
 
 def suite_prop14(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:

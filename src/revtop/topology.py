@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _all_perms
+from operator import itemgetter
 
 DEFAULT_POINT_CAP = 5
 HARD_POINT_CAP = 10  # bit arithmetic stays exact; enumeration beyond this is hopeless anyway
@@ -128,6 +129,17 @@ class FiniteTopology:
         return validate_topology(int(data["n"]), [int(o) for o in data["opens"]])
 
 
+def computed_topologies(n: int, families) -> tuple[FiniteTopology, ...]:
+    """Topologies from open families the program computed itself (catalog
+    members, closure-route results, orbit images): each is built through the
+    validating constructor, but a failure is a program fault, so it raises
+    AssertionError (which survives python -O) rather than an input error."""
+    try:
+        return tuple(FiniteTopology(n, opens) for opens in families)
+    except TopologyError as exc:
+        raise AssertionError(f"computed family on {n} points is not a topology: {exc}") from exc
+
+
 def validate_topology(n: int, family) -> FiniteTopology:
     """Check that a family of point sets is a topology and canonicalize it.
 
@@ -197,11 +209,9 @@ def mask_tables(n: int) -> tuple[tuple[int, ...], ...]:
 def opens_bitset(t: FiniteTopology) -> int:
     """The open family as one int whose bit o is set iff the point set o is
     open, so inclusion of open families is one AND: opens(t) <= opens(u) iff
-    opens_bitset(t) & opens_bitset(u) == opens_bitset(t)."""
-    bits = 0
-    for o in t.opens:
-        bits |= 1 << o
-    return bits
+    opens_bitset(t) & opens_bitset(u) == opens_bitset(t).  The opens are
+    distinct, so the sum of their powers of two is their union."""
+    return sum(map((1).__lshift__, t.opens))
 
 
 def _check_permutation(f: tuple[int, ...], n: int) -> None:
@@ -211,18 +221,24 @@ def _check_permutation(f: tuple[int, ...], n: int) -> None:
         raise TopologyError(f"not a permutation: {f}")
 
 
-def image_topology(f: tuple[int, ...], t: FiniteTopology) -> FiniteTopology:
-    """The topology {f[O] : O open in t}, where point i maps to f[i]; always
-    a valid topology."""
-    _check_permutation(f, t.n)
+def image_opens(f: tuple[int, ...], opens) -> tuple[int, ...]:
+    """The images of the given point sets under an already checked
+    permutation f (point i maps to f[i]), computed bit by bit, sorted."""
     images = []
-    for o in t.opens:
+    for o in opens:
         m = 0
         for i, j in enumerate(f):
             if o >> i & 1:
                 m |= 1 << j
         images.append(m)
-    return FiniteTopology(t.n, tuple(sorted(images)))
+    return tuple(sorted(images))
+
+
+def image_topology(f: tuple[int, ...], t: FiniteTopology) -> FiniteTopology:
+    """The topology {f[O] : O open in t}, where point i maps to f[i]; always
+    a valid topology."""
+    _check_permutation(f, t.n)
+    return FiniteTopology(t.n, image_opens(f, t.opens))
 
 
 def is_continuous(f: tuple[int, ...], dom: FiniteTopology, cod: FiniteTopology) -> bool:
@@ -271,13 +287,19 @@ def closure(mask: int, t: FiniteTopology) -> int:
 
 
 def orbit_opens(t: FiniteTopology) -> list[tuple[int, ...]]:
-    """The open families of all permutation images of t, sorted."""
-    return sorted({tuple(sorted(tab[o] for o in t.opens)) for tab in mask_tables(t.n)})
+    """The open families of all permutation images of t, sorted.
+
+    images picks the images of t's opens out of a permutation's table; its
+    extra leading 0 (the image of the empty set) keeps the result a tuple
+    when t has one open, and is cut off each distinct image."""
+    images = itemgetter(0, *t.opens)
+    distinct = set(map(tuple, map(sorted, map(images, mask_tables(t.n)))))
+    return [o[1:] for o in sorted(distinct)]
 
 
 def homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
     """All permutation images of t, sorted; the first is its canonical form."""
-    return tuple(FiniteTopology(t.n, o) for o in orbit_opens(t))
+    return computed_topologies(t.n, orbit_opens(t))
 
 
 def canonical_form(t: FiniteTopology) -> FiniteTopology:

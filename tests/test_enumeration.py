@@ -5,7 +5,7 @@ from conftest import brute_force_topologies, topology_of_preorder
 import revtop.enumeration as enumeration
 from revtop.enumeration import (
     Preorder,
-    _up_opens,
+    _preorders,
     catalog,
     enumerate_preorders,
     enumerate_topologies,
@@ -46,7 +46,7 @@ def test_closure_route_reads_no_preorders(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the closure route read the production catalog")
 
-    for name in ("_preorder_rows", "_up_opens", "enumerate_preorders",
+    for name in ("_preorders", "enumerate_preorders",
                  "enumerate_topologies_via_preorders", "catalog"):
         monkeypatch.setattr(enumeration, name, forbidden)
     assert len(enumeration.enumerate_topologies_by_closure(4)) == 355
@@ -60,6 +60,27 @@ def test_closure_route_prunes_by_inherited_failures(monkeypatch):
                         lambda opens, g: calls.append(g) or adjoin(opens, g))
     assert len(enumeration.enumerate_topologies_by_closure(4)) == 355
     assert len(calls) < 956
+
+
+def test_catalog_fault_is_an_internal_error(monkeypatch, capsys):
+    # a search that loses the full set from one family builds no topology
+    from revtop.cli import main
+
+    search = enumeration._preorders
+
+    def lossy(n):
+        for k, (rows, opens) in enumerate(search(n)):
+            yield rows, opens - {(1 << n) - 1} if k == 7 else opens
+
+    monkeypatch.setattr(enumeration, "_preorders", lossy)
+    enumeration.catalog.cache_clear()
+    try:
+        assert main(["enum", "--n", "3"]) == 3
+    finally:
+        enumeration.catalog.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: computed family on 3 points is not a topology: ")
+    assert "lacks the full set" in err
 
 
 def test_every_member_is_valid(cat4):
@@ -78,8 +99,10 @@ def test_preorder_count_matches_topology_count():
 def test_round_trips(n):
     for p in enumerate_preorders(n):
         assert preorder_of_topology(topology_of_preorder(p)) == p
-        # the catalog's union-closed up-sets against the scan of all 2^n point sets
-        assert FiniteTopology(n, _up_opens(p.up)) == topology_of_preorder(p)
+    # the opens the search carries, union-closed row by row, against the
+    # scan of all 2^n point sets
+    for rows, opens in _preorders(n):
+        assert FiniteTopology(n, tuple(sorted(opens))) == topology_of_preorder(Preorder(n, rows))
     for t in catalog(n).topologies:
         assert topology_of_preorder(preorder_of_topology(t)) == t
 

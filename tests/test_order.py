@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import needs_n5
+from conftest import needs_n5, needs_n6
 
 from revtop.enumeration import catalog
 from revtop.order import (
@@ -24,6 +24,7 @@ from revtop.topology import (
     FiniteTopology,
     antidiscrete_topology,
     discrete_topology,
+    opens_bitset,
 )
 
 SIERP = FiniteTopology(2, (0, 1, 3))
@@ -41,6 +42,20 @@ def test_reversibility_methods_agree_n3(cat3):
     for t in cat3.topologies:
         answers = [is_reversible(t, m) for m in REVERSIBILITY_METHODS]
         assert answers == [True, True, True, True]
+
+
+def test_direct_reversibility_reads_no_tables(monkeypatch, cat3):
+    # the direct route stays independent of the permutation tables the
+    # catalog's orbits are built from
+    import revtop.order
+    import revtop.topology
+
+    def forbidden(n):
+        raise AssertionError("the direct test read the permutation tables")
+
+    for module in (revtop.order, revtop.topology):
+        monkeypatch.setattr(module, "mask_tables", forbidden)
+    assert all(is_reversible(t, "direct") for t in cat3.topologies)
 
 
 def test_reversibility_examples():
@@ -179,6 +194,40 @@ def assert_order_matches_leq(n, methods):
         for j, b in enumerate(digraph.nodes):
             for m in methods:
                 assert leq(digraph, i, j) == condensational_leq(a, b, m), (a, b, m)
+
+
+def reference_order_up(n):
+    """The order from its definition on the catalog's orbits, without
+    adjoin_open: bit j of row i is set iff some member of orbit i is coarser
+    than representative j, i.e. has no open outside it."""
+    cat = catalog(n)
+    reps = cat.orbit_reps
+    outside = [~opens_bitset(b) for b in reps]
+    members = [[opens_bitset(u) for u in cat.orbits[a]] for a in reps]
+    return tuple(sum(1 << j for j, out in enumerate(outside)
+                     if 0 in map(out.__and__, bits))
+                 for bits in members)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_condensational_order_matches_member_subsets(n):
+    assert condensational_order(n).up == reference_order_up(n)
+
+
+def test_order_fault_is_an_internal_error(monkeypatch):
+    import revtop.order
+    monkeypatch.setattr(revtop.order, "adjoin_open", lambda opens, g: opens[:-1])
+    with pytest.raises(AssertionError, match="leaves the catalog"):
+        condensational_order(3)
+
+
+@needs_n6
+def test_condensational_order_n6(monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    digraph = condensational_order(6)
+    assert len(digraph.nodes) == 718
+    assert len(digraph.hasse) == 2894
+    assert digraph.up == reference_order_up(6)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])

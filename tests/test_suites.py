@@ -117,6 +117,42 @@ def test_conv_hull_matches_reference_on_random_families(cat4):
     assert conv_hull([]) == reference_conv_hull([], cat4) == ()
 
 
+@pytest.mark.parametrize("spread", [1, 2, 3, 5])
+def test_conv_hull_matches_reference_by_open_count_spread(cat4, spread):
+    # families whose open counts take exactly `spread` values
+    rng = random.Random(spread)
+    by_count = {}
+    for t in cat4.topologies:
+        by_count.setdefault(len(t.opens), []).append(t)
+    tried = 0
+    while tried < 100:
+        counts = rng.sample(sorted(by_count), spread)
+        family = [rng.choice(by_count[k]) for k in counts for _ in range(rng.randint(1, 3))]
+        assert len({len(t.opens) for t in family}) == spread
+        assert conv_hull(family) == reference_conv_hull(family, cat4)
+        tried += 1
+
+
+def test_fact12_names_the_first_disagreement(monkeypatch):
+    import revtop.order
+    import revtop.suites
+
+    cat = catalog(2)
+    bad = cat.topologies[1]
+    leq = revtop.order.condensational_leq
+
+    def flipped(a, b, method="coarsening_of_t2_side"):
+        answer = leq(a, b, method)
+        return not answer if method == "witness_map" and b == bad else answer
+
+    monkeypatch.setattr(revtop.suites, "condensational_leq", flipped)
+    result = SUITES["fact12"](2)
+    assert (result.agreed, result.total) == (12, 16)
+    assert result.summary() == (
+        f"fact12: 12/16 agree (first disagreement: opens {list(cat.topologies[0].opens)} "
+        f"vs opens {list(bad.opens)})")
+
+
 # Every verdict that classify prints, replaced by a wrong constant.  Every
 # finite space is reversible, hence weakly reversible, so the first two
 # verdicts are only wrong as False.

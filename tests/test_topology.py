@@ -23,6 +23,8 @@ from revtop.topology import (
     is_condensation,
     is_continuous,
     is_homeomorphism,
+    opens_bitset,
+    orbit_opens,
     validate_topology,
 )
 
@@ -156,6 +158,20 @@ def test_canonical_form_separates_orbits(cat3):
         for b in tops[::4]:
             same_orbit = rep_of[a] == rep_of[b]
             assert (canonical_form(a) == canonical_form(b)) == same_orbit
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_orbit_opens_matches_image_topology(n):
+    # the table-driven images against image_topology, permutation by permutation
+    for t in catalog(n).topologies:
+        images = {image_topology(f, t).opens for f in permutations(range(n))}
+        assert orbit_opens(t) == sorted(images)
+
+
+def test_opens_bitset_examples():
+    assert opens_bitset(antidiscrete_topology(0)) == 1
+    assert opens_bitset(SIERP) == 0b1011
+    assert opens_bitset(discrete_topology(2)) == 0b1111
 
 
 @st.composite
