@@ -64,25 +64,42 @@ def _preorders(n: int):
     that is consistent with the rows already fixed.  The opens of its up-set
     (Alexandrov) topology are all unions of the rows, so the search carries
     the union closure of the rows fixed so far and extends it by each new
-    row; the closures of a shared prefix are built once."""
+    row; the closures of a shared prefix are built once.
+
+    A row m for point i is consistent when it lies inside every earlier row
+    that holds i (j <= i) and holds the row of every earlier point inside it
+    (i <= j).  So the candidates are i plus the subsets of the intersection
+    ``cap`` of those rows, walked in increasing order, and only the earlier
+    points of m are checked."""
     check_ground(n)
-    candidates = [[m for m in range(1 << n) if m >> i & 1] for i in range(n)]
+    full = full_mask(n)
     rows = [0] * n
 
     def extend(i: int, opens: set[int]):
         if i == n:
             yield tuple(rows), opens
             return
-        for m in candidates[i]:
-            for j in range(i):
-                rj = rows[j]
-                if m >> j & 1 and rj | m != m:      # i <= j forces up[j] subset of up[i]
+        bit = 1 << i
+        cap = full
+        for rj in rows[:i]:
+            if rj & bit:
+                cap &= rj
+        rest = cap ^ bit
+        sub = 0
+        while True:
+            m = sub | bit
+            below = m & (bit - 1)
+            while below:
+                low = below & -below
+                if rows[low.bit_length() - 1] | m != m:
                     break
-                if rj >> i & 1 and m | rj != rj:    # j <= i forces up[i] subset of up[j]
-                    break
+                below ^= low
             else:
                 rows[i] = m
                 yield from extend(i + 1, opens | {o | m for o in opens})
+            sub = (sub - rest) & rest       # the next subset of rest
+            if not sub:
+                return
 
     return extend(0, {0})
 

@@ -56,12 +56,16 @@ def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
     if method == "no_finer":
         return not any(u != t and _opens_subset(t, frozenset(u.opens)) for u in cls)
     if method == "antichain":
-        sets = [frozenset(u.opens) for u in cls]
-        for i, a in enumerate(sets):
-            for b in sets[i + 1:]:
-                if a <= b or b <= a:
-                    return False
-        return True
+        # distinct nested families differ in open count, so only members of
+        # different counts are compared; a repeated member is a nested pair
+        groups: dict[int, set[int]] = {}
+        for u in cls:
+            groups.setdefault(len(u.opens), set()).add(opens_bitset(u))
+        if sum(map(len, groups.values())) != len(cls):
+            return False
+        counts = sorted(groups)
+        return not any(a & b == a for i, k in enumerate(counts) for m in counts[i + 1:]
+                       for a in groups[k] for b in groups[m])
     if method == "direct":
         # a continuous self-bijection whose image family is not t itself;
         # the permutations need no check

@@ -1,14 +1,16 @@
 import os
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from revtop.enumeration import Preorder, catalog
 from revtop.topology import (
     FiniteTopology,
-    TopologyError,
+    MissingEmptyError,
+    MissingFullError,
+    NotClosedUnderIntersectionError,
+    NotClosedUnderUnionError,
     full_mask,
-    validate_topology,
 )
 
 RUN_N5 = os.environ.get("REVTOP_N5", "") not in ("", "0")
@@ -22,21 +24,53 @@ needs_n6 = pytest.mark.skipif(
     not RUN_N6, reason="n=6 checks are gated behind REVTOP_N6=1")
 
 
+def closure_fault(n: int, ops: tuple[int, ...]):
+    """The definition of a topology, checked pair by pair on a strictly
+    sorted family of point sets on n points: None when the family holds the
+    empty and full sets and is closed under union and intersection, else the
+    error class the constructor must raise and its witness, the first pair
+    whose union or intersection is missing (None for a missing empty or full
+    set)."""
+    if not ops or ops[0] != 0:
+        return MissingEmptyError, None
+    if ops[-1] != full_mask(n):
+        return MissingFullError, None
+    present = set(ops)
+    for i, a in enumerate(ops):
+        for b in ops[i + 1:]:
+            if a | b not in present:
+                return NotClosedUnderUnionError, (a, b)
+            if a & b not in present:
+                return NotClosedUnderIntersectionError, (a, b)
+    return None
+
+
 def brute_force_topologies(n: int) -> list[FiniteTopology]:
     """Oracle enumerator: filter every family of subsets containing the empty
-    and full sets through the closure definition.  Exponential in 2^n, so
-    only usable for n <= 4."""
+    and full sets through the pairwise closure definition.  Exponential in
+    2^n, so only usable for n <= 4."""
     full = full_mask(n)
     nontrivial = [m for m in range(1, full)]
     out = []
     for r in range(len(nontrivial) + 1):
         for extra in combinations(nontrivial, r):
-            fam = {0, full, *extra}
-            try:
-                out.append(validate_topology(n, fam))
-            except TopologyError:
-                continue
-    return sorted(set(out))
+            ops = tuple(sorted({0, full, *extra}))
+            if closure_fault(n, ops) is None:
+                out.append(FiniteTopology(n, ops))
+    return sorted(out)
+
+
+def brute_force_preorders(n: int) -> list[tuple[int, ...]]:
+    """Oracle for the preorders: the up-set rows of every reflexive transitive
+    relation on n points, sorted, found by testing every tuple of rows that
+    holds the diagonal (16^5 of them at n = 5)."""
+    candidates = [[m for m in range(1 << n) if m >> i & 1] for i in range(n)]
+
+    def transitive(rows):
+        return all(rows[j] | row == row
+                   for row in rows for j in range(n) if row >> j & 1)
+
+    return [rows for rows in product(*candidates) if transitive(rows)]
 
 
 def topology_of_preorder(p: Preorder) -> FiniteTopology:

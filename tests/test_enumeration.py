@@ -1,6 +1,11 @@
 import pytest
 
-from conftest import brute_force_topologies, topology_of_preorder
+from conftest import (
+    RUN_N5,
+    brute_force_preorders,
+    brute_force_topologies,
+    topology_of_preorder,
+)
 
 import revtop.enumeration as enumeration
 from revtop.enumeration import (
@@ -89,10 +94,19 @@ def test_every_member_is_valid(cat4):
 
 
 def test_preorder_count_matches_topology_count():
-    for n in range(5):
+    for n in range(6):
         rows = [p.up for p in enumerate_preorders(n)]
         assert len(rows) == KNOWN_COUNTS[n]
         assert rows == sorted(set(rows))
+
+
+@pytest.mark.parametrize("n", range(6 if RUN_N5 else 5))
+def test_preorder_search_matches_the_oracles(n):
+    # the pruned search, in order, against every reflexive transitive tuple
+    # of rows and the 2^n scan for the up-closed point sets
+    expected = [(rows, set(topology_of_preorder(Preorder(n, rows)).opens))
+                for rows in brute_force_preorders(n)]
+    assert list(_preorders(n)) == expected
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])

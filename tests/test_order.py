@@ -58,6 +58,21 @@ def test_direct_reversibility_reads_no_tables(monkeypatch, cat3):
     assert all(is_reversible(t, "direct") for t in cat3.topologies)
 
 
+def test_antichain_compares_only_across_open_counts(monkeypatch):
+    # the antichain method reads only the class: a repeated member or a
+    # nested pair makes it False, and families of different open counts
+    # that are not nested leave it True
+    orbits = catalog(2).orbits
+    monkeypatch.setitem(orbits, SIERP, (SIERP, SIERP_FLIP, SIERP))
+    assert not is_reversible(SIERP, "antichain")
+    monkeypatch.setitem(orbits, SIERP, (SIERP, discrete_topology(2)))
+    assert not is_reversible(SIERP, "antichain")
+    one_open_point = FiniteTopology(3, (0, 0b001, 0b111))
+    unrelated = FiniteTopology(3, (0, 0b010, 0b110, 0b111))
+    monkeypatch.setitem(catalog(3).orbits, one_open_point, (one_open_point, unrelated))
+    assert is_reversible(one_open_point, "antichain")
+
+
 def test_reversibility_examples():
     assert all(is_reversible(discrete_topology(2), m) for m in REVERSIBILITY_METHODS)
     assert all(is_reversible(SIERP, m) for m in REVERSIBILITY_METHODS)

@@ -1,8 +1,12 @@
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import closure_fault
 
 from revtop.enumeration import catalog
 from revtop.topology import (
@@ -57,6 +61,69 @@ def test_constructor_enforces_closure():
         FiniteTopology(2, (0, 2, 1, 3))  # not sorted
     with pytest.raises(TopologyError):
         FiniteTopology(2, (0, 1, 3, 4))  # out of range
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_constructor_matches_the_pairwise_definition(n):
+    # every family of point sets on n points (2^16 of them at n = 4): accepted
+    # exactly when the definition holds, else the same error and witness
+    size = 1 << n
+    for family in range(1 << size):
+        ops = tuple(m for m in range(size) if family >> m & 1)
+        try:
+            FiniteTopology(n, ops)
+            verdict = None
+        except TopologyError as exc:
+            verdict = type(exc), getattr(exc, "witness", None)
+        assert verdict == closure_fault(n, ops), ops
+
+
+def test_constructor_edges():
+    assert FiniteTopology(0, (0,)).opens == (0,)
+    with pytest.raises(MissingEmptyError):
+        FiniteTopology(0, ())
+    with pytest.raises(TopologyError, match="point set 1 out of range for n=0"):
+        FiniteTopology(0, (0, 1))
+    # closed under both operations, but without the full set
+    with pytest.raises(MissingFullError):
+        FiniteTopology(3, (0, 1, 3))
+    with pytest.raises(TopologyError, match="strictly sorted"):
+        FiniteTopology(2, (0, 1, 1, 3))
+    with pytest.raises(TopologyError, match="strictly sorted"):
+        FiniteTopology(3, (0, 3, 1, 7))
+    with pytest.raises(TopologyError, match="point set -1 out of range"):
+        FiniteTopology(2, (-1, 0, 3))
+    with pytest.raises(TopologyError, match="point set 8 out of range"):
+        FiniteTopology(3, (0, 7, 8))
+
+
+def test_constructor_at_ten_points_and_beyond():
+    full = (1 << 10) - 1
+    chain = FiniteTopology(10, tuple((1 << k) - 1 for k in range(11)))
+    assert chain.opens[-1] == full
+    assert FiniteTopology(10, tuple(range(1 << 10))) == discrete_topology(10)
+    with pytest.raises(NotClosedUnderUnionError) as err:
+        FiniteTopology(10, (0, 1, 2, full))
+    assert err.value.witness == (1, 2)
+    with pytest.raises(NotClosedUnderIntersectionError) as err:
+        FiniteTopology(10, (0, 3, 6, 7, full))
+    assert err.value.witness == (3, 6)
+    # beyond the hard cap the pairwise scan decides alone
+    assert FiniteTopology(11, (0, 1, (1 << 11) - 1)).n == 11
+    with pytest.raises(NotClosedUnderUnionError):
+        FiniteTopology(11, (0, 1, 2, (1 << 11) - 1))
+
+
+def test_constructor_check_survives_optimisation():
+    code = ("from revtop.topology import FiniteTopology, NotClosedUnderUnionError\n"
+            "try:\n"
+            "    FiniteTopology(3, (0, 1, 2, 7))\n"
+            "except NotClosedUnderUnionError as exc:\n"
+            "    print(exc.witness)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(1, 2)\n"
 
 
 def test_validate_missing_sets():
