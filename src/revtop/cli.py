@@ -16,6 +16,7 @@ import os
 import random
 import sys
 import tempfile
+from collections.abc import Iterable
 
 from . import ramsey as ramsey_mod
 from .enumeration import catalog
@@ -30,15 +31,16 @@ from .suites import SUITES, run_suites
 from .topology import TopologyError
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(chunks: Iterable[str], path: str | None) -> None:
+    """Write the chunks, each as it is made, to stdout or atomically to path."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".revtop-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         # mkstemp makes the file 0600: give it open()'s mode (umask read by swapping)
         os.umask(umask := os.umask(0))
         os.chmod(tmp, 0o666 & ~umask)
@@ -56,11 +58,10 @@ def _dumps(data) -> str:
 def cmd_enum(args) -> int:
     cat = catalog(args.n)
     if args.format == "summary":
-        text = f"n={args.n} topologies={len(cat)} orbits={cat.orbit_count}\n"
+        chunks = [f"n={args.n} topologies={len(cat)} orbits={cat.orbit_count}\n"]
     else:
-        lines = [_dumps(t.to_json()) for t in cat.topologies]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        chunks = (_dumps(t.to_json()) + "\n" for t in cat.topologies)
+    _emit(chunks, args.out)
     return 0
 
 
@@ -92,16 +93,16 @@ def cmd_classify(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = "\n".join(_dumps(r) for r in rows) + "\n"
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 
 def cmd_order(args) -> int:
     digraph = condensational_order(args.n)
     if args.dot:
-        _emit(digraph.to_dot(), args.dot)
+        _emit([digraph.to_dot()], args.dot)
     if args.json:
-        _emit(_dumps(digraph.to_json()) + "\n", args.json)
+        _emit([_dumps(digraph.to_json()) + "\n"], args.json)
     sys.stdout.write(f"n={args.n} nodes={len(digraph.nodes)} edges={len(digraph.hasse)}\n")
     return 0
 

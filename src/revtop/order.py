@@ -7,16 +7,16 @@ quotient order digraph, maximal chains, and poset certificates.  Production
 paths read orbits from ``catalog(n)``: the quotient order is the reachability
 of one-open adjoins between orbits, and a convex hull scans catalog members
 only at open counts strictly inside its family's range.  The permutation
-searches are the second route.
+searches are the second route; two of them walk only the bijections that
+preserve the specialization preorder.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 from operator import attrgetter, itemgetter
 
-from .enumeration import catalog
+from .enumeration import catalog, preorder_of_topology
 from .topology import (
     DimensionMismatchError,
     FiniteTopology,
@@ -40,13 +40,58 @@ def _opens_subset(a: FiniteTopology, b_set: frozenset[int]) -> bool:
     return all(o in b_set for o in a.opens)
 
 
+def _monotone_bijections(dom_up, cod_up):
+    """Every bijection f (point i maps to f[i]) that preserves the preorders
+    given by the up-set rows dom_up and cod_up (bit j of up[i] set iff
+    i <= j): x <= y implies f[x] <= f[y].
+
+    A depth-first search assigns f[0], f[1], ... to unused points.  A point v
+    is refused as f[k] unless it lies below the images of the assigned points
+    above k and above the images of the assigned points below k, and unless
+    up(v) is at least as large as up(k), which f maps into it injectively.
+    Every continuous map preserves the specialization preorder (Alexandroff
+    1937), so no continuous bijection is skipped."""
+    n = len(dom_up)
+    # the points assigned before k that lie above k and below k, and the
+    # points with room for up(k)
+    above_k = [[x for x in range(k) if dom_up[k] >> x & 1] for k in range(n)]
+    below_k = [[x for x in range(k) if dom_up[x] >> k & 1] for k in range(n)]
+    fits = [sum(1 << v for v in range(n) if cod_up[v].bit_count() >= row.bit_count())
+            for row in dom_up]
+    f = [0] * n
+
+    def extend(k: int, free: int):
+        if k == n:
+            yield tuple(f)
+            return
+        above = 0                   # the images that f[k] must lie below
+        for x in above_k[k]:
+            above |= 1 << f[x]
+        allowed = free & fits[k]    # and the ones it must lie above
+        for x in below_k[k]:
+            allowed &= cod_up[f[x]]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
+            if cod_up[v] & above == above:
+                f[k] = v
+                yield from extend(k + 1, free ^ low)
+
+    return extend(0, (1 << n) - 1)
+
+
 def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
     """Is every continuous self-bijection of (X, t) a homeomorphism?
 
     All four methods are equivalent; each is implemented independently so
     they can be tested against one another.  The three that read the
-    homeomorphism class need t.n within the point cap, for ``catalog(t.n)``;
-    "direct" searches the permutations itself.
+    homeomorphism class need t.n within the point cap, for ``catalog(t.n)``.
+    "direct" searches the self-bijections itself and reads neither the
+    catalog nor the permutation tables: it prunes by a necessary condition,
+    that a continuous map preserves the specialization preorder, and decides
+    each complete candidate by the definition, its preimages of opens being
+    open and its image family differing from t.
     """
     if method in ("no_coarser", "no_finer", "antichain"):
         cls = catalog(t.n).orbits.get(t) or homeo_class(t)
@@ -67,11 +112,11 @@ def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
         return not any(a & b == a for i, k in enumerate(counts) for m in counts[i + 1:]
                        for a in groups[k] for b in groups[m])
     if method == "direct":
-        # a continuous self-bijection whose image family is not t itself;
-        # the permutations need no check
+        # a continuous self-bijection whose image family is not t itself
         opens = frozenset(t.opens)
+        up = preorder_of_topology(t).up
         return not any(preimages_open(f, opens, t.opens) and image_opens(f, t.opens) != t.opens
-                       for f in permutations(range(t.n)))
+                       for f in _monotone_bijections(up, up))
     raise ValueError(f"unknown reversibility method {method!r}")
 
 
@@ -81,7 +126,12 @@ def condensational_leq(t1: FiniteTopology, t2: FiniteTopology,
 
     The three methods are equivalent formulations quantifying over
     permutations: a copy of t1 below t2, a copy of t2 above t1, or a
-    continuous bijection from (X, t2) onto (X, t1).
+    continuous bijection from (X, t2) onto (X, t1).  The first two read the
+    permutation tables.  "witness_map" reads neither them nor the catalog:
+    it searches only the bijections that preserve the specialization
+    preorders, a necessary condition for continuity, and decides each
+    complete candidate by the definition, its preimages of t1's opens being
+    open in t2.
     """
     if t1.n != t2.n:
         raise DimensionMismatchError("comparing topologies on different ground sets")
@@ -93,17 +143,18 @@ def condensational_leq(t1: FiniteTopology, t2: FiniteTopology,
         images = itemgetter(0, *t1.opens)
         return any(map(into_t2, map(images, mask_tables(n))))
     if method == "refinement_of_t1_side":
-        s1 = frozenset(t1.opens)
-        for tab in mask_tables(n):
-            image = {tab[o] for o in t2.opens}
-            if s1 <= image:
-                return True
-        return False
+        covers_t1 = frozenset(t1.opens).issubset
+        images = itemgetter(0, *t2.opens)
+        return any(map(covers_t1, map(images, mask_tables(n))))
     if method == "witness_map":
-        # a continuous bijection from (X, t2) onto (X, t1); the permutations
-        # need no check, and the empty and full sets pull back to themselves
+        # a continuous bijection from (X, t2) onto (X, t1); its preimage map
+        # sends t1's opens injectively into t2's, and the empty and full sets
+        # pull back to themselves
+        if len(t1.opens) > len(t2.opens):
+            return False
         dom, inner = frozenset(t2.opens), t1.opens[1:-1]
-        return any(preimages_open(f, dom, inner) for f in permutations(range(n)))
+        return any(preimages_open(f, dom, inner) for f in _monotone_bijections(
+            preorder_of_topology(t2).up, preorder_of_topology(t1).up))
     raise ValueError(f"unknown ordering method {method!r}")
 
 

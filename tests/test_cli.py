@@ -48,6 +48,26 @@ def test_enum_writes_file_atomically(tmp_path):
     assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
+def test_streamed_output_stays_atomic(tmp_path):
+    # chunks are written as they are made; a failure part way leaves the
+    # target untouched and no temporary file behind
+    from revtop.cli import _emit
+
+    target = tmp_path / "out.jsonl"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "first\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _emit(chunks(), str(target))
+    assert target.read_text() == "old\n"
+    assert not list(tmp_path.glob(".revtop-*"))
+    _emit((f"{i}\n" for i in range(3)), str(target))
+    assert target.read_text() == "0\n1\n2\n"
+
+
 def test_classify_formats():
     summary = run_cli("classify", "--n", "3")
     assert summary.stdout == (b"n=3 topologies=29 orbits=9 "

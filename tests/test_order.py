@@ -1,12 +1,17 @@
+import random
+from itertools import permutations
+from math import factorial
+
 import pytest
 
 from conftest import needs_n5, needs_n6
 
-from revtop.enumeration import catalog
+from revtop.enumeration import catalog, preorder_of_topology
 from revtop.order import (
     LEQ_METHODS,
     REVERSIBILITY_METHODS,
     StrongKind,
+    _monotone_bijections,
     classify_strongly_reversible,
     condensational_leq,
     condensational_order,
@@ -24,7 +29,9 @@ from revtop.topology import (
     FiniteTopology,
     antidiscrete_topology,
     discrete_topology,
+    image_opens,
     opens_bitset,
+    preimages_open,
 )
 
 SIERP = FiniteTopology(2, (0, 1, 3))
@@ -45,17 +52,80 @@ def test_reversibility_methods_agree_n3(cat3):
 
 
 def test_direct_reversibility_reads_no_tables(monkeypatch, cat3):
-    # the direct route stays independent of the permutation tables the
-    # catalog's orbits are built from
+    # the direct and witness-map routes stay independent of the permutation
+    # tables and of the catalog the production routes are built from
     import revtop.order
     import revtop.topology
 
+    tops = cat3.topologies
+    expected = [condensational_leq(a, b) for a in tops for b in tops]
+
     def forbidden(n):
-        raise AssertionError("the direct test read the permutation tables")
+        raise AssertionError("a second route read the permutation tables or the catalog")
 
     for module in (revtop.order, revtop.topology):
         monkeypatch.setattr(module, "mask_tables", forbidden)
-    assert all(is_reversible(t, "direct") for t in cat3.topologies)
+    monkeypatch.setattr(revtop.order, "catalog", forbidden)
+    assert all(is_reversible(t, "direct") for t in tops)
+    assert [condensational_leq(a, b, "witness_map") for a in tops for b in tops] == expected
+
+
+def continuous_bijections(dom, cod, candidates):
+    """The candidates whose preimages of cod's opens are open in dom."""
+    dom_opens = frozenset(dom.opens)
+    return {f for f in candidates if preimages_open(f, dom_opens, cod.opens)}
+
+
+def pruned_candidates(dom, cod):
+    found = list(_monotone_bijections(preorder_of_topology(dom).up,
+                                      preorder_of_topology(cod).up))
+    assert len(found) == len(set(found))
+    assert all(sorted(f) == list(range(dom.n)) for f in found)
+    return found
+
+
+def pair_cases(n, rep_first):
+    """Every ordered pair at n <= 3; at n = 4, each representative against
+    every member, with the representative first or second."""
+    cat = catalog(n)
+    if n <= 3:
+        return [(a, b) for a in cat.topologies for b in cat.topologies]
+    return [(rep, t) if rep_first else (t, rep) for rep in cat.orbit_reps for t in cat.topologies]
+
+
+@pytest.mark.parametrize("n,rep_first", [(0, True), (1, True), (2, True), (3, True),
+                                         (4, True), (4, False)])
+def test_pruned_search_finds_exactly_the_continuous_bijections(n, rep_first):
+    # a pruning fault that drops some witnesses of a pair but not all of them
+    # leaves every any() answer unchanged, so the witness sets are compared
+    every = list(permutations(range(n)))
+    for dom, cod in pair_cases(n, rep_first):
+        assert continuous_bijections(dom, cod, pruned_candidates(dom, cod)) == \
+            continuous_bijections(dom, cod, every), (dom, cod)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_direct_checks_every_automorphism(monkeypatch, n):
+    # direct decides each continuous self-bijection it meets; a reversible t
+    # makes it meet all of them, and those with image t are its
+    # automorphisms, n! / |orbit| of them
+    import revtop.order
+
+    passed = []
+
+    def recording(f, dom_opens, cod_opens):
+        ok = preimages_open(f, dom_opens, cod_opens)
+        if ok:
+            passed.append(f)
+        return ok
+
+    monkeypatch.setattr(revtop.order, "preimages_open", recording)
+    cat = catalog(n)
+    for rep in cat.orbit_reps:
+        passed.clear()
+        assert is_reversible(rep, "direct")
+        automorphisms = {f for f in passed if image_opens(f, rep.opens) == rep.opens}
+        assert len(passed) == len(automorphisms) == factorial(n) // len(cat.orbits[rep]), rep
 
 
 def test_antichain_compares_only_across_open_counts(monkeypatch):
@@ -243,6 +313,18 @@ def test_condensational_order_n6(monkeypatch):
     assert len(digraph.nodes) == 718
     assert len(digraph.hasse) == 2894
     assert digraph.up == reference_order_up(6)
+
+
+@needs_n6
+def test_second_routes_at_n6(monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    cat = catalog(6)
+    tops = cat.topologies
+    rng = random.Random(6)
+    for _ in range(2000):
+        a, b = tops[rng.randrange(len(tops))], tops[rng.randrange(len(tops))]
+        assert condensational_leq(a, b, "witness_map") == condensational_leq(a, b), (a, b)
+    assert all(is_reversible(rep, "direct") for rep in cat.orbit_reps)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
