@@ -32,6 +32,7 @@ from .topology import (
 from .enumeration import (
     Preorder,
     TopologyCatalog,
+    canonical_preorder,
     catalog,
     enumerate_preorders,
     enumerate_topologies,

@@ -123,6 +123,68 @@ def preorder_of_topology(t: FiniteTopology) -> Preorder:
     return Preorder(t.n, tuple(rows))
 
 
+def canonical_preorder(up) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(key, labelling, aut_count) of the preorder with up-set rows ``up``
+    (bit j of up[i] set iff i <= j): keys are equal iff the preorders are
+    isomorphic, the labelling (point i goes to position labelling[i]) carries
+    up onto key, and aut_count counts the automorphisms.
+
+    Individualisation-refinement (McKay & Piperno, J. Symbolic Comput. 60,
+    2014): the cells of an ordered partition split by their points' counts
+    of up- and down-neighbours in every cell, subcells in order of those
+    counts, until none splits; the search individualises each point of the
+    first non-singleton cell and refines again.  Each leaf labelling gives
+    the relabelled rows in position order; key is the least, and the
+    automorphisms act freely and transitively on the leaves reaching it.
+    Swapping twins (points whose swap fixes every row) is an automorphism
+    fixing the node, so a twin class takes one branch, weighted by its size."""
+    k = len(up)
+    down = [sum(1 << i for i in range(k) if up[i] >> j & 1) for j in range(k)]
+    # the least twin of each point: equal rows, or equal strict rows
+    same, strict = {}, {}
+    twin = [min(same.setdefault((up[v], down[v]), v),
+                strict.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), v)) for v in range(k)]
+
+    def refine(cells):
+        while True:
+            masks = [sum(1 << v for v in c) for c in cells]
+            out = []
+            for c in cells:
+                if len(c) == 1:
+                    out.append(c)
+                    continue
+                groups = {}
+                for v in c:
+                    sig = (tuple(map(int.bit_count, map(up[v].__and__, masks))),
+                           tuple(map(int.bit_count, map(down[v].__and__, masks))))
+                    groups.setdefault(sig, []).append(v)
+                out.extend(groups[sig] for sig in sorted(groups))
+            if len(out) == len(cells):
+                return cells
+            cells = out
+
+    def leaves(cells, weight):
+        cells = refine(cells)
+        i = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if i is None:
+            order = [v for v, in cells]
+            labelling = tuple(sorted(range(k), key=order.__getitem__))   # order's inverse
+            yield (tuple(sum(1 << labelling[j] for j in range(k) if up[v] >> j & 1)
+                         for v in order), labelling, weight)
+            return
+        classes: dict[int, list[int]] = {}
+        for v in cells[i]:
+            classes.setdefault(twin[v], []).append(v)
+        for v, *others in classes.values():
+            rest = [u for u in cells[i] if u != v]
+            yield from leaves(cells[:i] + [[v], rest] + cells[i + 1:],
+                              weight * (1 + len(others)))
+
+    found = sorted(leaves([list(range(k))], 1))    # with k = 0 the empty cell refines away
+    key, labelling, _ = found[0]
+    return key, labelling, sum(weight for leaf, _, weight in found if leaf == key)
+
+
 def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
     """Independent cross-check of the catalog: Close-by-One over the closure
     operator "smallest topology containing these point sets" (:func:`adjoin_open`),

@@ -1,14 +1,14 @@
 """The condensational preorder on topologies and the reversibility hierarchy.
 
 Homeomorphism classes, the four equivalent reversibility tests, the three
-equivalent formulations of the condensational ordering, convex hulls and
-weak reversibility, strong reversibility with its classification, the
-quotient order digraph, maximal chains, and poset certificates.  Production
-paths read orbits from ``catalog(n)``: the quotient order is the reachability
-of one-open adjoins between orbits, and a convex hull scans catalog members
-only at open counts strictly inside its family's range.  The permutation
-searches are the second route; two of them walk only the bijections that
-preserve the specialization preorder.
+equivalent formulations of the condensational ordering, convex hulls and weak
+reversibility, strong reversibility with its classification, the quotient
+order digraph, maximal chains, and poset certificates from
+``canonical_preorder``.  Production paths read orbits from ``catalog(n)``: the
+quotient order is the reachability of one-open adjoins between orbits, and a
+convex hull scans catalog members only at open counts strictly inside its
+family's range.  The permutation searches are the second route; two of them
+walk only the bijections that preserve the specialization preorder.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
 
-from .enumeration import catalog, preorder_of_topology
+from .enumeration import canonical_preorder, catalog, preorder_of_topology
 from .topology import (
     DimensionMismatchError,
     FiniteTopology,
@@ -362,9 +362,8 @@ def maximal_chains_and_endpoints(members) -> ChainReport:
     """Enumerate maximal chains of a family of topologies ordered by inclusion.
 
     Accepts any iterable of topologies (e.g. a homeo_class or sim_class
-    tuple); a CondOrderDigraph
-    may be passed directly, in which case its nodes with the quotient order
-    are used.
+    tuple); a CondOrderDigraph may be passed directly, in which case its
+    nodes with the quotient order are used.
     """
     if isinstance(members, CondOrderDigraph):
         elems, up = list(members.nodes), members.up
@@ -401,74 +400,9 @@ class PosetInvariant:
     edges: tuple[tuple[int, int], ...]
 
 
-def _refine_colors(k: int, adj_out, adj_in) -> list[int]:
-    colors = [0] * k
-    while True:
-        sigs = [(colors[v],
-                 tuple(sorted(colors[u] for u in adj_out[v])),
-                 tuple(sorted(colors[u] for u in adj_in[v])))
-                for v in range(k)]
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _canonical_edges(k: int, edges: set[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    if not edges:
-        return ()
-    adj_out = [set() for _ in range(k)]
-    adj_in = [set() for _ in range(k)]
-    for a, b in edges:
-        adj_out[a].add(b)
-        adj_in[b].add(a)
-    colors = _refine_colors(k, adj_out, adj_in)
-    # canonical positions are grouped by color; search the color-respecting
-    # labelings for the lexicographically least edge matrix
-    slots = sorted(colors)  # color required at each canonical position
-    best_sig: list[list[tuple[int, ...]]] = []
-    best_assignment: list[list[int]] = []
-    assignment: list[int] = []
-    used = [False] * k
-
-    def step_sig(v: int) -> tuple[int, ...]:
-        sig = []
-        for u in assignment:
-            sig.append(1 if u in adj_in[v] else 0)   # edge u -> v
-            sig.append(1 if v in adj_in[u] else 0)   # edge v -> u
-        return tuple(sig)
-
-    def search(prefix: list[tuple[int, ...]]):
-        p = len(assignment)
-        if p == k:
-            if not best_sig or prefix < best_sig[0]:
-                best_sig[:] = [list(prefix)]
-                best_assignment[:] = [list(assignment)]
-            return
-        cands = [v for v in range(k) if not used[v] and colors[v] == slots[p]]
-        lowest = min(step_sig(v) for v in cands)
-        for v in cands:
-            sig = step_sig(v)
-            if sig != lowest:
-                continue
-            trial = prefix + [sig]
-            if best_sig and trial > best_sig[0][:len(trial)]:
-                continue
-            used[v] = True
-            assignment.append(v)
-            search(trial)
-            assignment.pop()
-            used[v] = False
-
-    search([])
-    pos = {v: i for i, v in enumerate(best_assignment[0])}
-    return tuple(sorted((pos[a], pos[b]) for a, b in edges))
-
-
 def poset_invariant(members) -> PosetInvariant:
     """Canonical certificate of a family of topologies ordered by inclusion."""
     elems = sorted(set(members))
-    edges = {(i, j) for i, row in enumerate(_inclusion_up(elems))
-             for j in _bits(row & ~(1 << i))}
-    return PosetInvariant(len(elems), _canonical_edges(len(elems), edges))
+    key = canonical_preorder(_inclusion_up(elems))[0]
+    return PosetInvariant(len(elems), tuple((p, q) for p, row in enumerate(key)
+                                            for q in _bits(row & ~(1 << p))))

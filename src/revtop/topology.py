@@ -353,4 +353,4 @@ def homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
 
 def canonical_form(t: FiniteTopology) -> FiniteTopology:
     """Lexicographically least permutation image; constant on homeomorphism classes."""
-    return homeo_class(t)[0]
+    return computed_topologies(t.n, orbit_opens(t)[:1])[0]

@@ -1,5 +1,5 @@
 import os
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -71,6 +71,25 @@ def brute_force_preorders(n: int) -> list[tuple[int, ...]]:
                    for row in rows for j in range(n) if row >> j & 1)
 
     return [rows for rows in product(*candidates) if transitive(rows)]
+
+
+def isomorphic_rows(a, b) -> bool:
+    """Oracle for isomorphism of two relations given as up-set rows (bit j of
+    a[i] set iff i <= j): try all k! bijections f for one with i <= j in a
+    iff f[i] <= f[j] in b.  Only usable for k <= 7 or so."""
+    k = len(a)
+    return len(b) == k and any(
+        all((a[i] >> j & 1) == (b[f[i]] >> f[j] & 1) for i in range(k) for j in range(k))
+        for f in permutations(range(k)))
+
+
+def relabelled_rows(up, labelling) -> tuple[int, ...]:
+    """The up-set rows up carried by a labelling (point i goes to position
+    labelling[i]), in position order."""
+    rows = [0] * len(up)
+    for i, row in enumerate(up):
+        rows[labelling[i]] = sum(1 << labelling[j] for j in range(len(up)) if row >> j & 1)
+    return tuple(rows)
 
 
 def topology_of_preorder(p: Preorder) -> FiniteTopology:

@@ -1,9 +1,14 @@
+import random
+from math import factorial
+
 import pytest
 
 from conftest import (
     RUN_N5,
     brute_force_preorders,
     brute_force_topologies,
+    needs_n6,
+    relabelled_rows,
     topology_of_preorder,
 )
 
@@ -11,6 +16,7 @@ import revtop.enumeration as enumeration
 from revtop.enumeration import (
     Preorder,
     _preorders,
+    canonical_preorder,
     catalog,
     enumerate_preorders,
     enumerate_topologies,
@@ -177,3 +183,80 @@ def test_cap_enforced(monkeypatch):
         monkeypatch.setenv("REVTOP_MAX_N", raw)
         with pytest.raises(TopologyError):
             enumerate_topologies(2)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_canonical_preorder_separates_orbits(n):
+    # one key per orbit and distinct keys across orbits: keys are equal iff
+    # the members share an orbit, for every pair of catalog members
+    cat = catalog(n)
+    orbit_of_key = {}
+    for rep, orbit in cat.orbits.items():
+        keys = {canonical_preorder(preorder_of_topology(t).up)[0] for t in orbit}
+        assert len(keys) == 1, rep
+        assert orbit_of_key.setdefault(keys.pop(), rep) == rep
+    assert len(orbit_of_key) == cat.orbit_count
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_canonical_preorder_counts_automorphisms(n):
+    # orbit-stabilizer: |orbit| * |Aut| = n!
+    cat = catalog(n)
+    for rep in cat.orbit_reps:
+        _, _, aut = canonical_preorder(preorder_of_topology(rep).up)
+        assert aut * len(cat.orbits[rep]) == factorial(n), rep
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_canonical_labelling_carries_rows_onto_key(n):
+    for t in catalog(n).topologies:
+        up = preorder_of_topology(t).up
+        key, labelling, _ = canonical_preorder(up)
+        assert sorted(labelling) == list(range(n))
+        assert relabelled_rows(up, labelling) == key
+
+
+def test_canonical_preorder_small_grounds():
+    assert canonical_preorder(()) == ((), (), 1)
+    assert canonical_preorder((0b1,)) == ((0b1,), (0,), 1)
+    # the chain 0 <= 1 puts its top first; two equivalent or two
+    # incomparable points are twins, swapped by the one other automorphism
+    assert canonical_preorder((0b11, 0b10)) == ((0b01, 0b11), (1, 0), 1)
+    assert canonical_preorder((0b11, 0b11)) == ((0b11, 0b11), (0, 1), 2)
+    assert canonical_preorder((0b01, 0b10)) == ((0b01, 0b10), (0, 1), 2)
+
+
+@needs_n6
+def test_canonical_preorder_n6(monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    cat = catalog(6)
+    keys = set()
+    for rep in cat.orbit_reps:
+        key, _, aut = canonical_preorder(preorder_of_topology(rep).up)
+        assert aut * len(cat.orbits[rep]) == 720, rep
+        keys.add(key)
+    assert len(keys) == cat.orbit_count == 718
+
+
+def crown_pairs(m: int, offset: int) -> list[tuple[int, int]]:
+    """The strict pairs of a crown on 2m points from offset on: minimal
+    points a_i = offset + i and maximal b_i = offset + m + i, with a_i below
+    b_i and b_(i+1 mod m)."""
+    return [(offset + i, offset + m + (i + d) % m) for i in range(m) for d in (0, 1)]
+
+
+def test_canonical_preorder_where_refinement_is_not_the_orbit_partition():
+    # an 8-point crown beside a 6-point crown: refinement leaves all 7
+    # minimal points in one cell, but the large crown's are another orbit
+    # than the small crown's, so the key is invariant only if the search
+    # takes every class of the cell.  |Aut| = 8 * 6, the dihedral groups.
+    up = [1 << i for i in range(14)]
+    for a, b in crown_pairs(4, 0) + crown_pairs(3, 8):
+        up[a] |= 1 << b
+    key, labelling, aut = canonical_preorder(up)
+    assert aut == 48
+    assert relabelled_rows(up, labelling) == key
+    rng = random.Random(14)
+    for _ in range(20):
+        moved_key, _, moved_aut = canonical_preorder(relabelled_rows(up, rng.sample(range(14), 14)))
+        assert (moved_key, moved_aut) == (key, aut)

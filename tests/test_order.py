@@ -4,13 +4,15 @@ from math import factorial
 
 import pytest
 
-from conftest import needs_n5, needs_n6
+from conftest import isomorphic_rows, needs_n5, needs_n6, relabelled_rows
 
-from revtop.enumeration import catalog, preorder_of_topology
+from revtop.enumeration import canonical_preorder, catalog, preorder_of_topology
 from revtop.order import (
     LEQ_METHODS,
     REVERSIBILITY_METHODS,
+    PosetInvariant,
     StrongKind,
+    _inclusion_up,
     _monotone_bijections,
     classify_strongly_reversible,
     condensational_leq,
@@ -30,6 +32,7 @@ from revtop.topology import (
     antidiscrete_topology,
     discrete_topology,
     image_opens,
+    image_topology,
     opens_bitset,
     preimages_open,
 )
@@ -438,3 +441,44 @@ def test_poset_invariant_distinguishes_shapes():
     wedge_a = poset_invariant([anti, SIERP])
     wedge_b = poset_invariant([anti, SIERP_FLIP])
     assert wedge_a == wedge_b == poset_invariant([SIERP, disc])
+
+
+def test_poset_invariant_matches_the_isomorphism_oracle(cat3):
+    # seeded families of up to 6 members, each with a copy relabelled by a
+    # permutation of the points (an isomorphic family); the oracle sorts them
+    # into isomorphism classes by trying every bijection of the inclusion rows
+    rng = random.Random(15)
+    tops = cat3.topologies
+    families = []
+    for _ in range(40):
+        family = rng.sample(tops, rng.randint(1, 6))
+        f = tuple(rng.sample(range(3), 3))
+        families += [family, [image_topology(f, t) for t in family]]
+    classes: list[tuple[list[int], PosetInvariant]] = []
+    for family in families:
+        up = _inclusion_up(sorted(family))
+        inv = poset_invariant(family)
+        for rows, known in classes:
+            if isomorphic_rows(up, rows):
+                assert inv == known, family
+                break
+            assert inv != known, family
+        else:
+            classes.append((up, inv))
+    assert len(classes) > 10
+
+
+def test_poset_invariant_of_catalog3_ignores_element_labels(cat3):
+    # the 29-member inclusion poset has cells that are not twin classes, so
+    # the search individualises and refines; relabelling its elements keeps
+    # the key, and |Aut| = 12: the point permutations times duality
+    up = _inclusion_up(cat3.topologies)
+    key, _, aut = canonical_preorder(up)
+    assert aut == 12
+    inv = poset_invariant(cat3.topologies)
+    assert inv.edges == tuple((p, q) for p, row in enumerate(key)
+                              for q in range(29) if q != p and row >> q & 1)
+    rng = random.Random(3)
+    for _ in range(5):
+        moved_key, _, moved_aut = canonical_preorder(relabelled_rows(up, rng.sample(range(29), 29)))
+        assert (moved_key, moved_aut) == (key, aut)
