@@ -14,10 +14,22 @@ from revtop.order import (
     condensational_order,
     is_strongly_reversible,
     is_weakly_reversible,
-    maximal_chains_and_endpoints,
     sim_class,
 )
 from revtop.topology import homeo_class
+
+
+def longest_chain(digraph) -> int:
+    """The number of nodes on a longest chain of the order: a longest path
+    of the Hasse diagram, found in decreasing open count, since the upper end
+    of a Hasse edge has more opens than its lower end."""
+    above = [[] for _ in digraph.nodes]
+    for i, j in digraph.hasse:
+        above[i].append(j)
+    depth = [0] * len(digraph.nodes)    # nodes on a longest chain up from each node
+    for i in sorted(range(len(depth)), key=lambda i: -len(digraph.nodes[i].opens)):
+        depth[i] = 1 + max((depth[j] for j in above[i]), default=0)
+    return max(depth)
 
 
 def survey(n: int, dot_dir: str | None) -> None:
@@ -28,8 +40,7 @@ def survey(n: int, dot_dir: str | None) -> None:
     digraph = condensational_order(n)
     strong = sum(1 for t in cat.orbit_reps if is_strongly_reversible(t))
     weak = sum(1 for t in cat.orbit_reps if is_weakly_reversible(t))
-    longest = max((len(c) for c in maximal_chains_and_endpoints(digraph).chains),
-                  default=0)
+    longest = longest_chain(digraph)
     elapsed = time.time() - start
     print(f"n={n}: topologies={len(cat)} orbits={cat.orbit_count} "
           f"oracle_agrees={agree} strongly_reversible_orbits={strong} "

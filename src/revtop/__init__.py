@@ -18,23 +18,17 @@ from .topology import (
     NotClosedUnderUnionError,
     antidiscrete_topology,
     canonical_form,
-    closure,
     discrete_topology,
-    generate_topology,
     homeo_class,
     image_topology,
-    interior,
-    is_condensation,
     is_continuous,
     is_homeomorphism,
     validate_topology,
 )
 from .enumeration import (
-    Preorder,
     TopologyCatalog,
     canonical_preorder,
     catalog,
-    enumerate_preorders,
     enumerate_topologies,
     enumerate_topologies_by_closure,
     enumerate_topologies_via_preorders,
@@ -42,7 +36,6 @@ from .enumeration import (
 )
 from .order import (
     CondOrderDigraph,
-    PosetInvariant,
     StrongKind,
     classify_strongly_reversible,
     condensational_leq,
@@ -51,8 +44,6 @@ from .order import (
     is_reversible,
     is_strongly_reversible,
     is_weakly_reversible,
-    maximal_chains_and_endpoints,
-    poset_invariant,
     sim_class,
 )
 from .ramsey import (

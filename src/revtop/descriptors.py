@@ -311,10 +311,6 @@ def nf(d: SetDescriptor) -> NormalForm:
     raise UnsupportedDescriptorError(f"not a descriptor over the naturals: {d!r}")
 
 
-def omega_contains(d: SetDescriptor, k: int) -> bool:
-    return nf_member(nf(d), k)
-
-
 def nf_enumerate(x: NormalForm, count: int) -> tuple[int, ...]:
     """First `count` elements in increasing order (fewer if the set is smaller)."""
     if count <= 0:
@@ -484,10 +480,6 @@ def z_nf(d: ZDescriptor) -> ZNormalForm:
     if isinstance(d, DifferenceZ):
         return _z_combine(z_nf(d.left), z_nf(d.right), lambda a, b: a and not b)
     raise UnsupportedDescriptorError(f"not a descriptor over the z-extended line: {d!r}")
-
-
-def z_contains(d: ZDescriptor, p) -> bool:
-    return z_nf_member(z_nf(d), p)
 
 
 def as_initial_segment(x: ZNormalForm):

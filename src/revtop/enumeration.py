@@ -20,7 +20,6 @@ from functools import cached_property, lru_cache
 
 from .topology import (
     FiniteTopology,
-    TopologyError,
     adjoin_open,
     antidiscrete_topology,
     check_ground,
@@ -29,33 +28,6 @@ from .topology import (
     opens_bitset,
     orbit_opens,
 )
-
-
-@dataclass(frozen=True)
-class Preorder:
-    """A reflexive transitive relation, stored as up-set rows.
-
-    up[i] is the bit set {j : i <= j}.  The specialization direction is
-    fixed project-wide: x <= y iff every open set containing x contains y.
-    """
-
-    n: int
-    up: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.up) != self.n:
-            raise TopologyError("row count must equal ground size")
-        full = full_mask(self.n)
-        for i, row in enumerate(self.up):
-            if not 0 <= row <= full:
-                raise TopologyError(f"row {i} out of range")
-            if not row >> i & 1:
-                raise TopologyError(f"relation not reflexive at {i}")
-        for i in range(self.n):
-            row = self.up[i]
-            for j in range(self.n):
-                if row >> j & 1 and self.up[j] | row != row:
-                    raise TopologyError(f"relation not transitive via {i} <= {j}")
 
 
 def _preorders(n: int):
@@ -104,13 +76,10 @@ def _preorders(n: int):
     return extend(0, {0})
 
 
-def enumerate_preorders(n: int) -> tuple[Preorder, ...]:
-    """All preorders on n points, sorted by their up-set rows."""
-    return tuple(Preorder(n, rows) for rows, _ in _preorders(n))
-
-
-def preorder_of_topology(t: FiniteTopology) -> Preorder:
-    """Specialization preorder: row i is the least open set containing i."""
+def preorder_of_topology(t: FiniteTopology) -> tuple[int, ...]:
+    """The up-set rows of the specialization preorder of t: row i, the bit
+    set {j : i <= j}, is the least open set containing i.  The direction is
+    fixed project-wide: x <= y iff every open set containing x contains y."""
     rows = []
     full = t.full
     for i in range(t.n):
@@ -120,7 +89,7 @@ def preorder_of_topology(t: FiniteTopology) -> Preorder:
             if o & bit:
                 acc &= o
         rows.append(acc)
-    return Preorder(t.n, tuple(rows))
+    return tuple(rows)
 
 
 def canonical_preorder(up) -> tuple[tuple[int, ...], tuple[int, ...], int]:

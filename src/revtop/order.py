@@ -2,9 +2,8 @@
 
 Homeomorphism classes, the four equivalent reversibility tests, the three
 equivalent formulations of the condensational ordering, convex hulls and weak
-reversibility, strong reversibility with its classification, the quotient
-order digraph, maximal chains, and poset certificates from
-``canonical_preorder``.  Production paths read orbits from ``catalog(n)``: the
+reversibility, strong reversibility with its classification, and the
+quotient order digraph.  Production paths read orbits from ``catalog(n)``: the
 quotient order is the reachability of one-open adjoins between orbits, and a
 convex hull scans catalog members only at open counts strictly inside its
 family's range.  The permutation searches are the second route; two of them
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
 
-from .enumeration import canonical_preorder, catalog, preorder_of_topology
+from .enumeration import catalog, preorder_of_topology
 from .topology import (
     DimensionMismatchError,
     FiniteTopology,
@@ -114,7 +113,7 @@ def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
     if method == "direct":
         # a continuous self-bijection whose image family is not t itself
         opens = frozenset(t.opens)
-        up = preorder_of_topology(t).up
+        up = preorder_of_topology(t)
         return not any(preimages_open(f, opens, t.opens) and image_opens(f, t.opens) != t.opens
                        for f in _monotone_bijections(up, up))
     raise ValueError(f"unknown reversibility method {method!r}")
@@ -135,6 +134,11 @@ def condensational_leq(t1: FiniteTopology, t2: FiniteTopology,
     """
     if t1.n != t2.n:
         raise DimensionMismatchError("comparing topologies on different ground sets")
+    if method not in LEQ_METHODS:
+        raise ValueError(f"unknown ordering method {method!r}")
+    # a copy of t1 has as many opens as t1, so it fits only if t2 has as many
+    if len(t1.opens) > len(t2.opens):
+        return False
     n = t1.n
     if method == "coarsening_of_t2_side":
         # images picks the images of t1's opens out of a permutation's table
@@ -146,16 +150,12 @@ def condensational_leq(t1: FiniteTopology, t2: FiniteTopology,
         covers_t1 = frozenset(t1.opens).issubset
         images = itemgetter(0, *t2.opens)
         return any(map(covers_t1, map(images, mask_tables(n))))
-    if method == "witness_map":
-        # a continuous bijection from (X, t2) onto (X, t1); its preimage map
-        # sends t1's opens injectively into t2's, and the empty and full sets
-        # pull back to themselves
-        if len(t1.opens) > len(t2.opens):
-            return False
-        dom, inner = frozenset(t2.opens), t1.opens[1:-1]
-        return any(preimages_open(f, dom, inner) for f in _monotone_bijections(
-            preorder_of_topology(t2).up, preorder_of_topology(t1).up))
-    raise ValueError(f"unknown ordering method {method!r}")
+    # witness_map: a continuous bijection from (X, t2) onto (X, t1), whose
+    # preimage map sends t1's opens into t2's; the empty and full sets pull
+    # back to themselves
+    dom, inner = frozenset(t2.opens), t1.opens[1:-1]
+    return any(preimages_open(f, dom, inner) for f in _monotone_bijections(
+        preorder_of_topology(t2), preorder_of_topology(t1)))
 
 
 def _open_sizes(t: FiniteTopology) -> list[int]:
@@ -272,15 +272,6 @@ def _covers(up) -> list[int]:
     return covers
 
 
-def _inclusion_up(elems) -> list[int]:
-    """Up-set rows of a family of distinct topologies ordered by inclusion of
-    their open families."""
-    if len({t.n for t in elems}) > 1:
-        raise DimensionMismatchError("family mixes topologies on different ground sets")
-    bits = [opens_bitset(t) for t in elems]
-    return [sum(1 << j for j, b in enumerate(bits) if a & b == a) for a in bits]
-
-
 @dataclass(frozen=True)
 class CondOrderDigraph:
     """The condensational order on equivalence classes of topologies.
@@ -348,61 +339,3 @@ def condensational_order(n: int) -> CondOrderDigraph:
     up = tuple(up)
     hasse = tuple((i, j) for i, row in enumerate(_covers(up)) for j in _bits(row))
     return CondOrderDigraph(n, reps, cat.orbit_sizes(), up, hasse)
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Maximal chains of a finite family of topologies under inclusion."""
-
-    chains: tuple[tuple[FiniteTopology, ...], ...]
-    all_singletons: bool
-
-
-def maximal_chains_and_endpoints(members) -> ChainReport:
-    """Enumerate maximal chains of a family of topologies ordered by inclusion.
-
-    Accepts any iterable of topologies (e.g. a homeo_class or sim_class
-    tuple); a CondOrderDigraph may be passed directly, in which case its
-    nodes with the quotient order are used.
-    """
-    if isinstance(members, CondOrderDigraph):
-        elems, up = list(members.nodes), members.up
-    else:
-        elems = sorted(set(members))
-        up = _inclusion_up(elems)
-    covers = _covers(up)
-    covered = 0
-    for row in covers:
-        covered |= row
-    minimal = [i for i in range(len(elems)) if not covered >> i & 1]
-    chains: list[tuple[int, ...]] = []
-
-    def walk(path):
-        tip = path[-1]
-        if not covers[tip]:
-            chains.append(tuple(path))
-            return
-        for nxt in _bits(covers[tip]):
-            walk(path + [nxt])
-
-    for start in minimal:
-        walk([start])
-    chain_tuples = tuple(tuple(elems[i] for i in ch) for ch in sorted(chains))
-    all_singletons = all(len(c) == 1 for c in chain_tuples)
-    return ChainReport(chain_tuples, all_singletons)
-
-
-@dataclass(frozen=True)
-class PosetInvariant:
-    """Canonical certificate of a finite poset: equal iff isomorphic."""
-
-    size: int
-    edges: tuple[tuple[int, int], ...]
-
-
-def poset_invariant(members) -> PosetInvariant:
-    """Canonical certificate of a family of topologies ordered by inclusion."""
-    elems = sorted(set(members))
-    key = canonical_preorder(_inclusion_up(elems))[0]
-    return PosetInvariant(len(elems), tuple((p, q) for p, row in enumerate(key)
-                                            for q in _bits(row & ~(1 << p))))

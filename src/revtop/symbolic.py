@@ -138,10 +138,6 @@ class Refined:
 
     family: ADFamily
 
-    @property
-    def removed(self) -> tuple[BranchSet, ...]:
-        return self.family.members
-
 
 _OMEGA_GROUND = (DiscreteOmega, AntidiscreteOmega, CoSmall)
 
@@ -472,14 +468,6 @@ class EventualSequence:
 
     prefix: tuple
     tail: ConstantTail | EnumerationTail
-
-    def value_at(self, i: int):
-        if i < len(self.prefix):
-            return self.prefix[i]
-        if isinstance(self.tail, ConstantTail):
-            return self.tail.value
-        k = i - len(self.prefix)
-        return nf_enumerate(nf(self.tail.descriptor), k + 1)[k]
 
 
 def _tail_nf(seq: EventualSequence) -> NormalForm:

@@ -213,20 +213,6 @@ def adjoin_open(opens, s: int) -> tuple[int, ...]:
     return tuple(sorted({a | c for a in opens for c in cuts}))
 
 
-def generate_topology(n: int, subbase) -> FiniteTopology:
-    """Smallest topology containing the given point sets: the antidiscrete
-    topology with the sets adjoined one at a time."""
-    check_ground(n)
-    full = full_mask(n)
-    for m in subbase:
-        if not 0 <= m <= full:
-            raise TopologyError(f"point set {m} out of range for n={n}")
-    opens = antidiscrete_topology(n).opens
-    for s in subbase:
-        opens = adjoin_open(opens, s)
-    return FiniteTopology(n, opens)
-
-
 def antidiscrete_topology(n: int) -> FiniteTopology:
     full = full_mask(n)
     return FiniteTopology(n, (0,) if full == 0 else (0, full))
@@ -311,28 +297,8 @@ def preimages_open(f: tuple[int, ...], dom_opens: frozenset[int], cod_opens) -> 
     return True
 
 
-def is_condensation(f: tuple[int, ...], t1: FiniteTopology, t2: FiniteTopology) -> bool:
-    """True iff f is a continuous bijection from (X, t1) to (X, t2)."""
-    return is_continuous(f, t1, t2)
-
-
 def is_homeomorphism(f: tuple[int, ...], t1: FiniteTopology, t2: FiniteTopology) -> bool:
-    return is_condensation(f, t1, t2) and image_topology(f, t1) == t2
-
-
-def interior(mask: int, t: FiniteTopology) -> int:
-    """Largest open subset of the given point set."""
-    acc = 0
-    for o in t.opens:
-        if o & mask == o:
-            acc |= o
-    return acc
-
-
-def closure(mask: int, t: FiniteTopology) -> int:
-    """Smallest closed superset of the given point set."""
-    full = t.full
-    return full ^ interior(full ^ mask, t)
+    return is_continuous(f, t1, t2) and image_topology(f, t1) == t2
 
 
 def orbit_opens(t: FiniteTopology) -> list[tuple[int, ...]]:

@@ -3,7 +3,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from revtop.enumeration import Preorder, catalog
+from revtop.enumeration import catalog
 from revtop.topology import (
     FiniteTopology,
     MissingEmptyError,
@@ -11,6 +11,7 @@ from revtop.topology import (
     NotClosedUnderIntersectionError,
     NotClosedUnderUnionError,
     full_mask,
+    opens_bitset,
 )
 
 RUN_N5 = os.environ.get("REVTOP_N5", "") not in ("", "0")
@@ -92,21 +93,30 @@ def relabelled_rows(up, labelling) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def topology_of_preorder(p: Preorder) -> FiniteTopology:
-    """Oracle for the up-set (Alexandrov) topology: test every one of the 2^n
-    point sets for being up-closed."""
-    full = full_mask(p.n)
+def inclusion_rows(family) -> list[int]:
+    """Up-set rows of a family of distinct topologies ordered by inclusion of
+    their open families: bit j of row i set iff every open of family[i] is
+    open in family[j]."""
+    bits = [opens_bitset(t) for t in family]
+    return [sum(1 << j for j, b in enumerate(bits) if a & b == a) for a in bits]
+
+
+def topology_of_preorder(up) -> FiniteTopology:
+    """Oracle for the up-set (Alexandrov) topology of the preorder with up-set
+    rows up: test every one of the 2^n point sets for being up-closed."""
+    n = len(up)
+    full = full_mask(n)
     opens = []
     for m in range(full + 1):
         rest = m
         while rest:
             i = (rest & -rest).bit_length() - 1
-            if p.up[i] | m != m:
+            if up[i] | m != m:
                 break
             rest &= rest - 1
         else:
             opens.append(m)
-    return FiniteTopology(p.n, tuple(opens))
+    return FiniteTopology(n, tuple(opens))
 
 
 @pytest.fixture(scope="session")

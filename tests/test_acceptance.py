@@ -289,7 +289,9 @@ def test_criterion_9_ramsey_bounds():
     floor_log = 8  # for length-256 inputs
     for i in range(10000):
         wide = i % 2 == 0
-        seq = [rng.randrange(0, 256 if wide else 32) for _ in range(256)]
+        # random bytes are uniform on 0..255, and their low five bits on 0..31
+        data = rng.randbytes(256)
+        seq = list(data) if wide else [b & 31 for b in data]
         coloring = "increasing_pairs" if i % 4 < 2 else "distinct_pairs"
         res = homogeneous_pairs(seq, coloring)
         if len(res.indices) < floor_log or not verify_result(seq, res):
@@ -315,12 +317,14 @@ def test_criterion_10_cli_determinism():
     ok = True
     detail = ""
     for args in CLI_COMMANDS:
+        # the two processes of a pair run side by side
+        procs = [subprocess.Popen([sys.executable, "-m", "revtop", *args], stdin=subprocess.PIPE,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for _ in range(2)]
         runs = []
-        for _ in range(2):
-            proc = subprocess.run([sys.executable, "-m", "revtop", *args],
-                                  capture_output=True, input=b"3 1 4 1 5 9 2 6",
-                                  timeout=300)
-            runs.append((proc.returncode, proc.stdout))
+        for proc in procs:
+            out, _ = proc.communicate(b"3 1 4 1 5 9 2 6", timeout=300)
+            runs.append((proc.returncode, out))
         if runs[0] != runs[1] or runs[0][0] != 0:
             ok = False
             detail = f"nondeterministic or failing: {args}"

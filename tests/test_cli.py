@@ -1,5 +1,6 @@
 import json
 import stat
+from hashlib import sha256
 import subprocess
 import sys
 
@@ -94,6 +95,36 @@ def test_order_outputs(tmp_path):
     assert len(data["nodes"]) == 3
     assert data["leq"] == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
     assert sorted(map(tuple, data["hasse"])) == [(1, 0), (2, 1)]
+
+
+# SHA-256 of the output at n=4: the bytes each command prints or writes must
+# not change unless a change says so
+GOLDEN_STDOUT = [
+    (("enum", "--n", "4", "--format", "json"),
+     "12f128602d4d15f54fd0ea5e9738727c312bf389ff12f600fa950f41e98f4b59"),
+    (("classify", "--n", "4", "--format", "csv"),
+     "3e68eebbeca144a0bab42df256dae81325aec68fee3d66f98bc9816f4ec14eaa"),
+    (("classify", "--n", "4", "--format", "json"),
+     "35d50bbbe6fdf9d7d3d1a7c674146aaf7c2228cf6ca648c7bcbdece12d925592"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_STDOUT)
+def test_golden_stdout_n4(args, digest, capsys):
+    from revtop.cli import main
+    assert main(list(args)) == 0
+    assert sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_golden_order_files_n4(tmp_path, capsys):
+    from revtop.cli import main
+    js, dot = tmp_path / "h.json", tmp_path / "h.dot"
+    assert main(["order", "--n", "4", "--json", str(js), "--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == "n=4 nodes=33 edges=68\n"
+    assert sha256(js.read_bytes()).hexdigest() == \
+        "4db52746f2d6c8b361b8b0583c01f711093eb09227a5f1ff0a084e6c6e82faff"
+    assert sha256(dot.read_bytes()).hexdigest() == \
+        "a5e54e770a085a01bed9ee58fe75f3e7b5ddcde47f40e51f2cf81c3dedf058a7"
 
 
 def test_verify_all_suites_pass():

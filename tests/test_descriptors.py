@@ -35,12 +35,10 @@ from revtop.descriptors import (
     nf_complement,
     nf_enumerate,
     nf_member,
-    omega_contains,
     omega_descriptor_from_json,
     shared_codes,
     word_contains,
     word_lcp,
-    z_contains,
     z_descriptor_from_json,
     z_nf,
     z_nf_member,
@@ -120,7 +118,7 @@ def test_branch_codes_and_membership():
     assert first == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
     assert code_of_bits("01") == 5
     assert word_contains(Word("", "01"), 5)
-    assert omega_contains(BranchSet(Word("", "01")), 5)
+    assert nf_member(nf(BranchSet(Word("", "01"))), 5)
     assert not word_contains(Word("", "01"), 4)
     assert not word_contains(Word("", "01"), 1)
 
@@ -339,10 +337,10 @@ def test_as_initial_segment_classification():
 
 
 def test_z_contains():
-    assert z_contains(ClosedLeftZ(0), Z_FIRST)
-    assert z_contains(ClosedLeftZ(0), -5)
-    assert not z_contains(ClosedLeftZ(0), 0)
-    assert not z_contains(OpenLeftZ(0), Z_FIRST)
+    assert z_nf_member(z_nf(ClosedLeftZ(0)), Z_FIRST)
+    assert z_nf_member(z_nf(ClosedLeftZ(0)), -5)
+    assert not z_nf_member(z_nf(ClosedLeftZ(0)), 0)
+    assert not z_nf_member(z_nf(OpenLeftZ(0)), Z_FIRST)
 
 
 # --- symbolic maps ----------------------------------------------------------

@@ -14,11 +14,9 @@ from conftest import (
 
 import revtop.enumeration as enumeration
 from revtop.enumeration import (
-    Preorder,
     _preorders,
     canonical_preorder,
     catalog,
-    enumerate_preorders,
     enumerate_topologies,
     enumerate_topologies_by_closure,
     preorder_of_topology,
@@ -57,7 +55,7 @@ def test_closure_route_reads_no_preorders(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the closure route read the production catalog")
 
-    for name in ("_preorders", "enumerate_preorders",
+    for name in ("_preorders", "preorder_of_topology",
                  "enumerate_topologies_via_preorders", "catalog"):
         monkeypatch.setattr(enumeration, name, forbidden)
     assert len(enumeration.enumerate_topologies_by_closure(4)) == 355
@@ -101,7 +99,7 @@ def test_every_member_is_valid(cat4):
 
 def test_preorder_count_matches_topology_count():
     for n in range(6):
-        rows = [p.up for p in enumerate_preorders(n)]
+        rows = [up for up, _ in _preorders(n)]
         assert len(rows) == KNOWN_COUNTS[n]
         assert rows == sorted(set(rows))
 
@@ -110,41 +108,39 @@ def test_preorder_count_matches_topology_count():
 def test_preorder_search_matches_the_oracles(n):
     # the pruned search, in order, against every reflexive transitive tuple
     # of rows and the 2^n scan for the up-closed point sets
-    expected = [(rows, set(topology_of_preorder(Preorder(n, rows)).opens))
+    expected = [(rows, set(topology_of_preorder(rows).opens))
                 for rows in brute_force_preorders(n)]
     assert list(_preorders(n)) == expected
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_round_trips(n):
-    for p in enumerate_preorders(n):
-        assert preorder_of_topology(topology_of_preorder(p)) == p
+    # every topology's rows are a reflexive transitive relation: exactly the
+    # oracle's preorders, each of them once
+    preorders = brute_force_preorders(n)
+    assert sorted(preorder_of_topology(t) for t in catalog(n).topologies) == preorders
+    for up in preorders:
+        assert preorder_of_topology(topology_of_preorder(up)) == up
     # the opens the search carries, union-closed row by row, against the
     # scan of all 2^n point sets
-    for rows, opens in _preorders(n):
-        assert FiniteTopology(n, tuple(sorted(opens))) == topology_of_preorder(Preorder(n, rows))
+    for up, opens in _preorders(n):
+        assert FiniteTopology(n, tuple(sorted(opens))) == topology_of_preorder(up)
     for t in catalog(n).topologies:
         assert topology_of_preorder(preorder_of_topology(t)) == t
 
 
 def test_specialization_direction():
     # chain 0 <= 1: up-sets are {0,1} and {1}; opens are the up-closed sets
-    p = Preorder(2, (0b11, 0b10))
-    assert topology_of_preorder(p) == FiniteTopology(2, (0, 2, 3))
+    assert topology_of_preorder((0b11, 0b10)) == FiniteTopology(2, (0, 2, 3))
+    # x <= y iff every open set containing x contains y
+    assert preorder_of_topology(FiniteTopology(2, (0, 2, 3))) == (0b11, 0b10)
 
 
 def test_extreme_preorders():
-    discrete_order = Preorder(2, (0b01, 0b10))
+    discrete_order = (0b01, 0b10)
     assert topology_of_preorder(discrete_order) == FiniteTopology(2, (0, 1, 2, 3))
-    total = Preorder(2, (0b11, 0b11))
+    total = (0b11, 0b11)
     assert topology_of_preorder(total) == FiniteTopology(2, (0, 3))
-
-
-def test_preorder_invariants_rejected():
-    with pytest.raises(TopologyError):
-        Preorder(2, (0b10, 0b01))  # not reflexive
-    with pytest.raises(TopologyError):
-        Preorder(3, (0b011, 0b110, 0b100))  # 0<=1, 1<=2 but not 0<=2
 
 
 def test_orbit_partition(cat3, cat4):
@@ -192,7 +188,7 @@ def test_canonical_preorder_separates_orbits(n):
     cat = catalog(n)
     orbit_of_key = {}
     for rep, orbit in cat.orbits.items():
-        keys = {canonical_preorder(preorder_of_topology(t).up)[0] for t in orbit}
+        keys = {canonical_preorder(preorder_of_topology(t))[0] for t in orbit}
         assert len(keys) == 1, rep
         assert orbit_of_key.setdefault(keys.pop(), rep) == rep
     assert len(orbit_of_key) == cat.orbit_count
@@ -203,14 +199,14 @@ def test_canonical_preorder_counts_automorphisms(n):
     # orbit-stabilizer: |orbit| * |Aut| = n!
     cat = catalog(n)
     for rep in cat.orbit_reps:
-        _, _, aut = canonical_preorder(preorder_of_topology(rep).up)
+        _, _, aut = canonical_preorder(preorder_of_topology(rep))
         assert aut * len(cat.orbits[rep]) == factorial(n), rep
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_canonical_labelling_carries_rows_onto_key(n):
     for t in catalog(n).topologies:
-        up = preorder_of_topology(t).up
+        up = preorder_of_topology(t)
         key, labelling, _ = canonical_preorder(up)
         assert sorted(labelling) == list(range(n))
         assert relabelled_rows(up, labelling) == key
@@ -232,7 +228,7 @@ def test_canonical_preorder_n6(monkeypatch):
     cat = catalog(6)
     keys = set()
     for rep in cat.orbit_reps:
-        key, _, aut = canonical_preorder(preorder_of_topology(rep).up)
+        key, _, aut = canonical_preorder(preorder_of_topology(rep))
         assert aut * len(cat.orbits[rep]) == 720, rep
         keys.add(key)
     assert len(keys) == cat.orbit_count == 718

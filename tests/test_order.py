@@ -4,15 +4,13 @@ from math import factorial
 
 import pytest
 
-from conftest import isomorphic_rows, needs_n5, needs_n6, relabelled_rows
+from conftest import inclusion_rows, isomorphic_rows, needs_n5, needs_n6, relabelled_rows
 
 from revtop.enumeration import canonical_preorder, catalog, preorder_of_topology
 from revtop.order import (
     LEQ_METHODS,
     REVERSIBILITY_METHODS,
-    PosetInvariant,
     StrongKind,
-    _inclusion_up,
     _monotone_bijections,
     classify_strongly_reversible,
     condensational_leq,
@@ -22,8 +20,6 @@ from revtop.order import (
     is_reversible,
     is_strongly_reversible,
     is_weakly_reversible,
-    maximal_chains_and_endpoints,
-    poset_invariant,
     sim_class,
 )
 from revtop.topology import (
@@ -80,8 +76,7 @@ def continuous_bijections(dom, cod, candidates):
 
 
 def pruned_candidates(dom, cod):
-    found = list(_monotone_bijections(preorder_of_topology(dom).up,
-                                      preorder_of_topology(cod).up))
+    found = list(_monotone_bijections(preorder_of_topology(dom), preorder_of_topology(cod)))
     assert len(found) == len(set(found))
     assert all(sorted(f) == list(range(dom.n)) for f in found)
     return found
@@ -171,6 +166,24 @@ def test_leq_dimension_mismatch():
         condensational_leq(SIERP, discrete_topology(3))
 
 
+def test_leq_with_more_opens_searches_nothing(monkeypatch):
+    # a copy of t1 has as many opens as t1, so no method searches the
+    # permutations when t1 has more opens than t2
+    import revtop.order
+
+    def forbidden(n):
+        raise AssertionError("searched the permutation tables")
+
+    monkeypatch.setattr(revtop.order, "mask_tables", forbidden)
+    disc, anti = discrete_topology(3), antidiscrete_topology(3)
+    for m in LEQ_METHODS:
+        assert not condensational_leq(disc, anti, m)
+    # an unknown method is refused whatever the open counts
+    for pair in ((disc, anti), (anti, disc)):
+        with pytest.raises(ValueError, match="unknown ordering method"):
+            condensational_leq(*pair, "nope")
+
+
 def test_leq_is_preorder(cat2):
     tops = cat2.topologies
     for a in tops:
@@ -194,7 +207,7 @@ def test_conv_hull_examples():
     assert conv_hull([SIERP, SIERP_FLIP]) == (SIERP, SIERP_FLIP)
 
 
-@pytest.mark.parametrize("call", [conv_hull, maximal_chains_and_endpoints, poset_invariant])
+@pytest.mark.parametrize("call", [conv_hull])
 def test_mixed_ground_sizes_are_rejected(call):
     with pytest.raises(DimensionMismatchError):
         call([antidiscrete_topology(2), discrete_topology(3)])
@@ -369,55 +382,16 @@ def test_hasse_is_transitive_reduction(n):
     assert digraph.hasse == tuple(reference_hasse(digraph))
 
 
-def test_maximal_chains_on_classes(cat3):
-    report = maximal_chains_and_endpoints(sim_class(SIERP))
-    assert report.chains == ((SIERP,), (SIERP_FLIP,))
-    assert report.all_singletons
-    report = maximal_chains_and_endpoints([discrete_topology(2)])
-    assert report.chains == ((discrete_topology(2),),)
-    for t in cat3.topologies:
-        assert maximal_chains_and_endpoints(sim_class(t)).all_singletons
-
-
-def test_maximal_chains_on_general_posets():
-    anti, disc = antidiscrete_topology(2), discrete_topology(2)
-    report = maximal_chains_and_endpoints([anti, SIERP, disc])
-    assert report.chains == ((anti, SIERP, disc),)
-    assert not report.all_singletons
-    report = maximal_chains_and_endpoints([anti, SIERP, SIERP_FLIP, disc])
-    assert len(report.chains) == 2
-
-
-def test_maximal_chains_of_digraph():
-    digraph = condensational_order(2)
-    report = maximal_chains_and_endpoints(digraph)
-    assert len(report.chains) == 1 and len(report.chains[0]) == 3
-
-
-def test_maximal_chains_of_digraph_match_reference_walk():
-    digraph = condensational_order(3)
-    k = len(digraph.nodes)
-    covers = {i: [j for a, j in reference_hasse(digraph) if a == i] for i in range(k)}
-    minimal = [i for i in range(k) if not any(j != i and leq(digraph, j, i) for j in range(k))]
-    chains = []
-
-    def walk(path):
-        if not covers[path[-1]]:
-            chains.append(tuple(digraph.nodes[i] for i in path))
-        for j in covers[path[-1]]:
-            walk(path + [j])
-
-    for i in minimal:
-        walk([i])
-    report = maximal_chains_and_endpoints(digraph)
-    assert report.chains == tuple(sorted(chains))
-    assert len(report.chains) > 1
+def inclusion_key(family):
+    """The canonical key of a family of distinct topologies ordered by
+    inclusion: equal keys iff the posets are isomorphic."""
+    return canonical_preorder(inclusion_rows(family))[0]
 
 
 def test_poset_invariant_examples():
-    assert poset_invariant([discrete_topology(2)]).size == 1
-    inv = poset_invariant(homeo_class(SIERP))
-    assert inv.size == 2 and inv.edges == ()
+    assert inclusion_key([discrete_topology(2)]) == (0b1,)
+    # two incomparable members: each row holds only itself
+    assert inclusion_key(homeo_class(SIERP)) == (0b01, 0b10)
 
 
 def test_poset_invariant_is_isomorphism_invariant(cat3):
@@ -425,22 +399,23 @@ def test_poset_invariant_is_isomorphism_invariant(cat3):
     for a in tops[::4]:
         cls = homeo_class(a)
         for b in cls:
-            assert poset_invariant(homeo_class(b)) == poset_invariant(cls)
+            assert inclusion_key(homeo_class(b)) == inclusion_key(cls)
 
 
 def test_poset_invariant_distinguishes_shapes():
     anti, disc = antidiscrete_topology(2), discrete_topology(2)
-    chain3 = poset_invariant([anti, SIERP, disc])
-    vee = poset_invariant([anti, SIERP, SIERP_FLIP])
-    antichain2 = poset_invariant([SIERP, SIERP_FLIP])
+    chain3 = inclusion_key([anti, SIERP, disc])
+    vee = inclusion_key([anti, SIERP, SIERP_FLIP])
+    antichain2 = inclusion_key([SIERP, SIERP_FLIP])
     assert chain3 != vee
-    assert chain3.size == vee.size == 3
-    assert antichain2.size == 2
-    assert chain3.edges == ((1, 0), (2, 0), (2, 1))
+    assert len(chain3) == len(vee) == 3
+    assert len(antichain2) == 2
+    # the chain puts its top first: position p lies below positions < p
+    assert chain3 == (0b001, 0b011, 0b111)
     # mirrored diamond arms are isomorphic
-    wedge_a = poset_invariant([anti, SIERP])
-    wedge_b = poset_invariant([anti, SIERP_FLIP])
-    assert wedge_a == wedge_b == poset_invariant([SIERP, disc])
+    wedge_a = inclusion_key([anti, SIERP])
+    wedge_b = inclusion_key([anti, SIERP_FLIP])
+    assert wedge_a == wedge_b == inclusion_key([SIERP, disc])
 
 
 def test_poset_invariant_matches_the_isomorphism_oracle(cat3):
@@ -454,17 +429,17 @@ def test_poset_invariant_matches_the_isomorphism_oracle(cat3):
         family = rng.sample(tops, rng.randint(1, 6))
         f = tuple(rng.sample(range(3), 3))
         families += [family, [image_topology(f, t) for t in family]]
-    classes: list[tuple[list[int], PosetInvariant]] = []
+    classes: list[tuple[list[int], tuple[int, ...]]] = []
     for family in families:
-        up = _inclusion_up(sorted(family))
-        inv = poset_invariant(family)
+        up = inclusion_rows(family)
+        key = canonical_preorder(up)[0]
         for rows, known in classes:
             if isomorphic_rows(up, rows):
-                assert inv == known, family
+                assert key == known, family
                 break
-            assert inv != known, family
+            assert key != known, family
         else:
-            classes.append((up, inv))
+            classes.append((up, key))
     assert len(classes) > 10
 
 
@@ -472,12 +447,9 @@ def test_poset_invariant_of_catalog3_ignores_element_labels(cat3):
     # the 29-member inclusion poset has cells that are not twin classes, so
     # the search individualises and refines; relabelling its elements keeps
     # the key, and |Aut| = 12: the point permutations times duality
-    up = _inclusion_up(cat3.topologies)
+    up = inclusion_rows(cat3.topologies)
     key, _, aut = canonical_preorder(up)
     assert aut == 12
-    inv = poset_invariant(cat3.topologies)
-    assert inv.edges == tuple((p, q) for p, row in enumerate(key)
-                              for q in range(29) if q != p and row >> q & 1)
     rng = random.Random(3)
     for _ in range(5):
         moved_key, _, moved_aut = canonical_preorder(relabelled_rows(up, rng.sample(range(29), 29)))

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations, permutations
 
 import pytest
@@ -17,14 +18,11 @@ from revtop.topology import (
     NotClosedUnderIntersectionError,
     NotClosedUnderUnionError,
     TopologyError,
+    adjoin_open,
     antidiscrete_topology,
     canonical_form,
-    closure,
     discrete_topology,
-    generate_topology,
     image_topology,
-    interior,
-    is_condensation,
     is_continuous,
     is_homeomorphism,
     opens_bitset,
@@ -137,28 +135,35 @@ def test_validate_deduplicates():
     assert validate_topology(2, [0, 0, 3, 3, 1, 1]) == SIERP
 
 
+def generate(n: int, subbase) -> FiniteTopology:
+    """The topology that adjoin_open builds from the antidiscrete one by
+    adjoining the point sets of subbase one at a time."""
+    return FiniteTopology(n, reduce(adjoin_open, subbase, antidiscrete_topology(n).opens))
+
+
 def test_generate_single_point():
-    assert generate_topology(2, [1]) == SIERP
+    assert generate(2, [1]) == SIERP
 
 
 def test_generate_two_overlapping_sets():
     # hand closure: {0,1} & {1,2} = {1}; {0,1} | {1,2} = full
-    assert generate_topology(3, [3, 6]) == FiniteTopology(3, (0, 2, 3, 6, 7))
+    assert generate(3, [3, 6]) == FiniteTopology(3, (0, 2, 3, 6, 7))
 
 
 def test_generate_empty_subbase():
-    assert generate_topology(3, []) == antidiscrete_topology(3)
-    assert generate_topology(0, []) == FiniteTopology(0, (0,))
+    assert generate(3, []) == antidiscrete_topology(3)
+    assert generate(0, []) == FiniteTopology(0, (0,))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_generate_is_least_catalog_member_containing_subbase(n):
+    # the only direct check that adjoin_open yields the least topology
     tops = catalog(n).topologies
     for r in (0, 1, 2):
         for subbase in combinations(range(1 << n), r):
             least = min((t for t in tops if set(subbase) <= set(t.opens)),
                         key=lambda t: len(t.opens))
-            assert generate_topology(n, subbase) == least
+            assert generate(n, subbase) == least
 
 
 def test_image_identity():
@@ -183,31 +188,12 @@ def test_continuity_examples():
 
 def test_condensation_and_homeomorphism():
     ident = (0, 1)
-    assert is_condensation(ident, SIERP, SIERP)
+    assert is_continuous(ident, SIERP, SIERP)
     assert is_homeomorphism(ident, SIERP, SIERP)
-    assert is_condensation(ident, discrete_topology(2), SIERP)
+    assert is_continuous(ident, discrete_topology(2), SIERP)
     assert not is_homeomorphism(ident, discrete_topology(2), SIERP)
     swap = (1, 0)
     assert is_homeomorphism(swap, SIERP, SIERP_FLIP)
-
-
-def test_closure_examples():
-    assert closure(0b01, SIERP) == 0b11       # only closed superset is the full set
-    assert closure(0b10, SIERP) == 0b10       # complement of {0} is closed
-    for mask in range(8):
-        assert interior(mask, discrete_topology(3)) == mask
-
-
-def test_closure_properties_exhaustive_n3():
-    for t in catalog(3).topologies:
-        assert closure(0, t) == 0
-        for mask in range(8):
-            c = closure(mask, t)
-            assert c | mask == c                 # extensive
-            assert closure(c, t) == c            # idempotent
-            for sub in range(8):
-                if sub | mask == mask:
-                    assert closure(sub, t) | c == c  # monotone
 
 
 def test_canonical_form_examples():
@@ -264,16 +250,16 @@ def test_homeo_implies_condensation_both_ways(data):
     t, f = data
     image = image_topology(f, t)
     assert is_homeomorphism(f, t, image)
-    assert is_condensation(f, t, image)
+    assert is_continuous(f, t, image)
     inverse = tuple(sorted(range(t.n), key=f.__getitem__))
-    assert is_condensation(inverse, image, t)
+    assert is_continuous(inverse, image, t)
 
 
 def test_finite_reversibility_lemma_n3(cat3):
     # any continuous self-bijection of a finite space is a homeomorphism
     for t in cat3.topologies:
         for f in permutations(range(3)):
-            if is_condensation(f, t, t):
+            if is_continuous(f, t, t):
                 assert is_homeomorphism(f, t, t)
 
 
