@@ -193,14 +193,15 @@ OMEGA_SET = CofiniteSet(())
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NormalForm:
+class NormalForm(SetDescriptor):
     """Canonical form of a describable subset of the naturals.
 
     The core is the union of the branch sets of `words`, plus the points
     `plus`, minus the points `minus`; `plus` lies outside the branch region
     and `minus` inside it, and `words` is sorted.  The set is the core, or
     its complement when `complemented` is true.  With no words the set is
-    finite (`plus`) or cofinite (everything except `plus`).
+    finite (`plus`) or cofinite (everything except `plus`).  A normal form
+    is itself a descriptor, the one that `nf` returns unchanged.
     """
 
     complemented: bool
@@ -287,7 +288,10 @@ def _finite_nf(points) -> NormalForm:
 
 @lru_cache(maxsize=8192)
 def nf(d: SetDescriptor) -> NormalForm:
-    """Normal form of a descriptor over the naturals."""
+    """Normal form of a descriptor over the naturals; a normal form is
+    returned unchanged."""
+    if isinstance(d, NormalForm):
+        return d
     if isinstance(d, FiniteSet):
         return _finite_nf(d.elements)
     if isinstance(d, CofiniteSet):
@@ -336,22 +340,6 @@ def nf_enumerate(x: NormalForm, count: int) -> tuple[int, ...]:
         if len(out) == count:
             break
     return tuple(out)
-
-
-def descriptor_of_nf(x: NormalForm) -> SetDescriptor:
-    """A descriptor denoting exactly the normal form (round-trip inverse of nf)."""
-    if not x.words:
-        return CofiniteSet(tuple(x.plus)) if x.complemented else FiniteSet(tuple(x.plus))
-    core: SetDescriptor
-    branches = tuple(BranchSet(w) for w in x.words)
-    if len(branches) == 1 and not x.plus:
-        core = branches[0]
-    else:
-        parts = branches + ((FiniteSet(tuple(x.plus)),) if x.plus else ())
-        core = UnionSet(parts)
-    if x.minus:
-        core = DifferenceSet(core, FiniteSet(tuple(x.minus)))
-    return DifferenceSet(OMEGA_SET, core) if x.complemented else core
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +403,15 @@ class DifferenceZ(ZDescriptor):
 
 
 @dataclass(frozen=True)
-class ZNormalForm:
+class ZNormalForm(ZDescriptor):
     """Canonical form of a describable subset of {z} + the integers.
 
     `has_first` says whether z is in the set and `low` whether the integers
     far to the left are.  `switches` is the sorted tuple of the integers p
     whose membership differs from that of p - 1, so each set has exactly
     one form, and its size is the number of boundaries, not the number of
-    integers between them.
+    integers between them.  A normal form is itself a descriptor, the one
+    that `z_nf` returns unchanged.
     """
 
     has_first: bool
@@ -455,6 +444,10 @@ def _z_combine(x: ZNormalForm, y: ZNormalForm, op) -> ZNormalForm:
 
 @lru_cache(maxsize=8192)
 def z_nf(d: ZDescriptor) -> ZNormalForm:
+    """Normal form of a descriptor over the z-extended line; a normal form
+    is returned unchanged."""
+    if isinstance(d, ZNormalForm):
+        return d
     if isinstance(d, EmptyZ):
         return ZNormalForm(False, False, ())
     if isinstance(d, AllZ):
@@ -544,20 +537,9 @@ class FinSupportPerm(SymbolicMap):
                 return v
         return p
 
-    def inverse(self) -> "FinSupportPerm":
-        return FinSupportPerm(tuple((v, k) for k, v in self.pairs))
-
-    @staticmethod
-    def from_mapping(mapping: dict) -> "FinSupportPerm":
-        return FinSupportPerm(tuple(mapping.items()))
-
     @staticmethod
     def swap(i: int, j: int) -> "FinSupportPerm":
         return FinSupportPerm(((i, j), (j, i)))
-
-    @staticmethod
-    def identity() -> "FinSupportPerm":
-        return FinSupportPerm(())
 
 
 @dataclass(frozen=True)
@@ -573,42 +555,6 @@ class ShiftZ(SymbolicMap):
             raise UnsupportedDescriptorError(f"not a point of the z-extended line: {p!r}")
         return p + self.k
 
-    def inverse(self) -> "ShiftZ":
-        return ShiftZ(-self.k)
-
-
-@dataclass(frozen=True)
-class Composition(SymbolicMap):
-    """Composite bijection; the first listed map is applied first."""
-
-    maps: tuple[SymbolicMap, ...]
-
-    def apply(self, p):
-        for m in self.maps:
-            p = m.apply(p)
-        return p
-
-    def inverse(self) -> "Composition":
-        return Composition(tuple(m.inverse() for m in reversed(self.maps)))
-
-
-def flatten_fin_support(f: SymbolicMap) -> FinSupportPerm:
-    """Collapse a composition of finite-support permutations into one."""
-    if isinstance(f, FinSupportPerm):
-        return f
-    if isinstance(f, Composition):
-        parts = [flatten_fin_support(m) for m in f.maps]
-        support = sorted({k for part in parts for k in part.support})
-        table = {}
-        for k in support:
-            v = k
-            for part in parts:
-                v = part.apply(v)
-            table[k] = v
-        return FinSupportPerm.from_mapping(table)
-    raise UnsupportedDescriptorError(
-        f"map is not a finite-support permutation of the naturals: {f!r}")
-
 
 def image_nf_omega(f: FinSupportPerm, x: NormalForm) -> NormalForm:
     """Exact image of a natural-number set under a finite-support permutation."""
@@ -617,23 +563,9 @@ def image_nf_omega(f: FinSupportPerm, x: NormalForm) -> NormalForm:
     return nf_union(outside, _finite_nf(f.apply(e) for e in support if nf_member(x, e)))
 
 
-def image_z_descriptor(f: ShiftZ, d: ZDescriptor) -> ZDescriptor:
-    """Structural image of a z-line descriptor under a shift."""
-    if isinstance(d, (EmptyZ, AllZ)):
-        return d
-    if isinstance(d, ClosedLeftZ):
-        return ClosedLeftZ(d.a + f.k)
-    if isinstance(d, OpenLeftZ):
-        return OpenLeftZ(d.b + f.k)
-    if isinstance(d, FiniteZ):
-        return FiniteZ(d.has_first, tuple(e + f.k for e in d.ints))
-    if isinstance(d, UnionZ):
-        return UnionZ(tuple(image_z_descriptor(f, p) for p in d.parts))
-    if isinstance(d, IntersectionZ):
-        return IntersectionZ(tuple(image_z_descriptor(f, p) for p in d.parts))
-    if isinstance(d, DifferenceZ):
-        return DifferenceZ(image_z_descriptor(f, d.left), image_z_descriptor(f, d.right))
-    raise UnsupportedDescriptorError(f"not a z-line descriptor: {d!r}")
+def image_z_nf(f: ShiftZ, x: ZNormalForm) -> ZNormalForm:
+    """Exact image of a z-line set under a shift: z stays, every switch moves."""
+    return ZNormalForm(x.has_first, x.low, tuple(p + f.k for p in x.switches))
 
 
 # ---------------------------------------------------------------------------

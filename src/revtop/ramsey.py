@@ -161,8 +161,8 @@ def constant_or_injective(values) -> HomogeneousResult:
 
 
 def constant_or_increasing(stream, target: int, fuel: int) -> HomogeneousResult | None:
-    """Search a stream prefix for a constant or strictly increasing subsequence
-    of the target size.
+    """Search the first `fuel` values of an iterable for a constant or strictly
+    increasing subsequence of the target size.
 
     The dichotomy is a theorem only for total functions on the naturals, so
     exhausting the fuel returns None rather than fabricating a witness.
@@ -172,17 +172,13 @@ def constant_or_increasing(stream, target: int, fuel: int) -> HomogeneousResult 
         raise ValueError("target size must be positive")
     if fuel < target:
         raise ValueError("fuel must be at least the target size")
-    if callable(stream):
-        source = (stream(i) for i in range(fuel))
-    else:
-        source = islice(stream, fuel)
     values: list = []
     positions: dict[int, list[int]] = {}
     constant: list[HomogeneousResult] = []
 
     def unrepeated():
         """The values read, until one of them occurs target times."""
-        for i, v in enumerate(source):
+        for i, v in enumerate(islice(stream, fuel)):
             values.append(v)
             bucket = positions.setdefault(v, [])
             bucket.append(i)

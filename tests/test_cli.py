@@ -97,8 +97,8 @@ def test_order_outputs(tmp_path):
     assert sorted(map(tuple, data["hasse"])) == [(1, 0), (2, 1)]
 
 
-# SHA-256 of the output at n=4: the bytes each command prints or writes must
-# not change unless a change says so
+# SHA-256 of the output at n=4 and of the countable commands: the bytes each
+# command prints or writes must not change unless a change says so
 GOLDEN_STDOUT = [
     (("enum", "--n", "4", "--format", "json"),
      "12f128602d4d15f54fd0ea5e9738727c312bf389ff12f600fa950f41e98f4b59"),
@@ -106,6 +106,12 @@ GOLDEN_STDOUT = [
      "3e68eebbeca144a0bab42df256dae81325aec68fee3d66f98bc9816f4ec14eaa"),
     (("classify", "--n", "4", "--format", "json"),
      "35d50bbbe6fdf9d7d3d1a7c674146aaf7c2228cf6ca648c7bcbdece12d925592"),
+    (("witness", "ordered-z", "--c", "17", "--iterate", "50"),
+     "780fd398a272a432e584118bb0826fdc5e2986a0fd2f11e5ca0245f7406928ad"),
+    (("ostar", "--check", "blocking", "--family-size", "16", "--samples", "40", "--seed", "3"),
+     "f579dbd2bb7cf494169aa2868720b752583e6585bafa39095aea846e04a4dfcf"),
+    (("ostar", "--check", "closure", "--family-size", "16", "--samples", "200", "--seed", "3"),
+     "67745a9bf2ae4b543de960a563ba460525f4b6e7489071272459a454c3ba66cc"),
 ]
 
 

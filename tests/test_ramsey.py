@@ -1,7 +1,7 @@
 import random
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations, count, product, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -113,10 +113,10 @@ def test_constant_or_injective_exhaustive_short():
 
 
 def test_constant_or_increasing_examples():
-    res = constant_or_increasing(lambda i: i, 10, 100)
+    res = constant_or_increasing(count(), 10, 100)
     assert res is not None and res.kind == KIND_STRICTLY_INCREASING
     assert len(res.indices) == 10
-    res = constant_or_increasing(lambda i: 3, 10, 100)
+    res = constant_or_increasing(repeat(3), 10, 100)
     assert res is not None and res.kind == KIND_CONSTANT and res.value == 3
     # a finite descent bottoms out into a constant run
     stream = [9, 8, 7, 6, 5, 4, 3, 2, 1, 0] + [0] * 40
@@ -160,14 +160,14 @@ def test_constant_or_increasing_stops_at_the_first_qualifying_prefix():
 
 def test_constant_or_increasing_fuel_exhaustion():
     # strictly decreasing forever within fuel: neither branch can fire
-    assert constant_or_increasing(lambda i: 1000 - i, 2, 50) is None
+    assert constant_or_increasing(count(1000, -1), 2, 50) is None
 
 
 def test_constant_or_increasing_preconditions():
     with pytest.raises(ValueError):
-        constant_or_increasing(lambda i: i, 0, 10)
+        constant_or_increasing(count(), 0, 10)
     with pytest.raises(ValueError):
-        constant_or_increasing(lambda i: i, 5, 4)
+        constant_or_increasing(count(), 5, 4)
 
 
 def test_self_check_survives_optimisation():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,10 +9,10 @@ from revtop.descriptors import (
     BranchSet,
     ClosedLeftZ,
     CofiniteSet,
-    Composition,
     DifferenceSet,
     FiniteSet,
     FinSupportPerm,
+    OMEGA_SET,
     OmegaStarSet,
     OpenLeftZ,
     ShiftZ,
@@ -22,6 +23,7 @@ from revtop.descriptors import (
     nf_enumerate,
     nf_member,
     word_contains,
+    z_nf,
 )
 from revtop.symbolic import (
     ADFamily,
@@ -105,28 +107,15 @@ def test_member_open_ground_mismatch():
 # --- images -----------------------------------------------------------------
 
 def test_image_descriptor_shift():
-    assert image_descriptor(ShiftZ(1), ClosedLeftZ(5)) == ClosedLeftZ(6)
-    assert image_descriptor(ShiftZ(-2), OpenLeftZ(0)) == OpenLeftZ(-2)
-
-
-def test_image_descriptor_respects_composition():
-    comp = Composition((ShiftZ(2), ShiftZ(-5)))
-    step = image_descriptor(ShiftZ(-5), image_descriptor(ShiftZ(2), ClosedLeftZ(0)))
-    assert image_descriptor(comp, ClosedLeftZ(0)) == step == ClosedLeftZ(-3)
-    perms = Composition((FinSupportPerm.swap(0, 1), FinSupportPerm.swap(1, 2)))
-    step = image_descriptor(FinSupportPerm.swap(1, 2),
-                            image_descriptor(FinSupportPerm.swap(0, 1), CofiniteSet((0,))))
-    assert image_descriptor(perms, CofiniteSet((0,))) == step == CofiniteSet((2,))
-    mixed = Composition((ShiftZ(1), FinSupportPerm.swap(0, 1)))
-    with pytest.raises(UnsupportedDescriptorError, match="z-extended line"):
-        image_descriptor(mixed, ClosedLeftZ(0))
+    assert image_descriptor(ShiftZ(1), ClosedLeftZ(5)) == z_nf(ClosedLeftZ(6))
+    assert image_descriptor(ShiftZ(-2), OpenLeftZ(0)) == z_nf(OpenLeftZ(-2))
 
 
 def test_image_descriptor_fin_support():
     swap = FinSupportPerm.swap(0, 1)
-    assert image_descriptor(swap, CofiniteSet((0,))) == CofiniteSet((1,))
-    assert image_descriptor(swap, FiniteSet((0, 5))) == FiniteSet((1, 5))
-    moved = nf(image_descriptor(swap, BranchSet(Word("", "1"))))
+    assert image_descriptor(swap, CofiniteSet((0,))) == nf(CofiniteSet((1,)))
+    assert image_descriptor(swap, FiniteSet((0, 5))) == nf(FiniteSet((1, 5)))
+    moved = image_descriptor(swap, BranchSet(Word("", "1")))
     want = {swap.apply(k) for k in range(64) if word_contains(Word("", "1"), k)}
     assert {k for k in range(64) if nf_member(moved, k)} == want
 
@@ -135,9 +124,20 @@ def test_image_topology_shift_on_ordered_z():
     schema = image_topology_symbolic(ShiftZ(1), OrderedZ(0))
     assert schema.topology == OrderedZ(1)
     assert schema.verify()
-    double = image_topology_symbolic(Composition((ShiftZ(1), ShiftZ(2))), OrderedZ(0))
+    double = image_topology_symbolic(ShiftZ(3), OrderedZ(0))
     assert double.topology == OrderedZ(3)
     assert double.verify()
+
+
+def test_map_on_the_wrong_ground_raises():
+    with pytest.raises(UnsupportedDescriptorError):
+        image_descriptor(FinSupportPerm.swap(0, 1), ClosedLeftZ(0))
+    with pytest.raises(UnsupportedDescriptorError):
+        image_descriptor(ShiftZ(1), CofiniteSet(()))
+    with pytest.raises(UnsupportedDescriptorError):
+        image_descriptor(ShiftZ(1), OmegaStarSet(CofiniteSet(()), star=True))
+    with pytest.raises(UnsupportedDescriptorError):
+        image_topology_symbolic(FinSupportPerm.swap(0, 1), OrderedZ(0))
 
 
 def test_image_topology_fin_support_on_cosmall():
@@ -166,6 +166,15 @@ def test_witness_translation_symmetry(c):
     assert w.verify()
 
 
+@pytest.mark.parametrize("c", [-3, 0, 7])
+def test_witness_with_a_wrong_image_or_map_fails(c):
+    w = nonreversibility_witness(OrderedZ(c))
+    assert w.verify()
+    assert not dataclasses.replace(w, image=OrderedZ(c + 2)).verify()
+    # a consistent downward shift: its image is coarser, not finer
+    assert not dataclasses.replace(w, map=ShiftZ(-1), image=OrderedZ(c - 1)).verify()
+
+
 def test_increasing_chain_of_homeomorphic_copies():
     chain = increasing_chain(OrderedZ(0), 10)
     assert [w.image.c for w in chain] == list(range(1, 11))
@@ -184,7 +193,7 @@ def test_increasing_chain_of_homeomorphic_copies():
 # --- strong reversibility of the cofinite topology --------------------------
 
 def test_preserves_topology_examples():
-    schema = image_topology_symbolic(FinSupportPerm.identity(), CoSmall())
+    schema = image_topology_symbolic(FinSupportPerm(()), CoSmall())
     assert schema.topology == CoSmall() and schema.verify()
     schema = image_topology_symbolic(FinSupportPerm.swap(0, 1), CoSmall())
     assert schema.topology == CoSmall() and schema.verify()
@@ -354,6 +363,56 @@ def test_convergence_flip_between_base_and_refined():
     outsider = EventualSequence((), EnumerationTail(BranchSet(Word("", "011"))))
     assert converges(outsider, STAR, ConvSeq())
     assert converges(outsider, STAR, refined)
+
+
+def test_refined_convergence_reads_the_words(monkeypatch):
+    """Convergence in the refined space is decided without the blocking
+    search, so the two stay independent routes."""
+    def no_search(*args):
+        raise AssertionError("converges must not run the blocking search")
+
+    monkeypatch.setattr(symbolic, "blocking_nbhd", no_search)
+    fam = ad_family(3)
+    refined = construct_o_star(fam)
+    for member in fam.members:
+        assert not converges(EventualSequence((), EnumerationTail(member)), STAR, refined)
+    outsider = EventualSequence((), EnumerationTail(BranchSet(Word("", "011"))))
+    assert converges(outsider, STAR, refined)
+
+
+OUTSIDERS = tuple(BranchSet(w) for w in (
+    Word("", "011"), Word("", "0"), Word("1", "0"), Word("", "0" * 9 + "1")))
+
+
+def random_infinite_tail(rng, fam):
+    """A union of family members, outside branches and maybe a finite set,
+    taken as is, with a few elements removed, or complemented."""
+    take = rng.choice((0.0, 0.3, 1.0))
+    parts = [m for m in fam.members if rng.random() < take]
+    parts += rng.sample(OUTSIDERS, rng.randrange(0 if parts else 1, 3))
+    if rng.random() < 0.5:
+        parts.append(FiniteSet(tuple(rng.sample(range(64), 3))))
+    d = UnionSet(tuple(parts))
+    shape = rng.randrange(3)
+    if shape == 1:
+        d = DifferenceSet(d, FiniteSet(nf_enumerate(nf(d), rng.randrange(1, 4))))
+    elif shape == 2:
+        d = DifferenceSet(OMEGA_SET, d)
+    return d
+
+
+def test_refined_convergence_agrees_with_the_blocking_search():
+    fam = ad_family(8)
+    assert not set(fam.members) & set(OUTSIDERS)
+    refined = construct_o_star(fam)
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(240):
+        d = random_infinite_tail(rng, fam)
+        verdict = converges(EventualSequence((), EnumerationTail(d)), STAR, refined)
+        assert verdict == (blocking_nbhd(d, fam) is None), d
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_unique_limits():
