@@ -60,7 +60,9 @@ def cmd_enum(args) -> int:
     if args.format == "summary":
         chunks = [f"n={args.n} topologies={len(cat)} orbits={cat.orbit_count}\n"]
     else:
-        chunks = (_dumps(t.to_json()) + "\n" for t in cat.topologies)
+        # the line _dumps(t.to_json()) writes, formatted without a dict
+        chunks = ('{"n":%d,"opens":[%s]}\n' % (t.n, ",".join(map(str, t.opens)))
+                  for t in cat.topologies)
     _emit(chunks, args.out)
     return 0
 

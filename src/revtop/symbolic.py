@@ -426,21 +426,36 @@ class BlockingCertificate:
                    for e in self.intersection_prefix)
 
 
+def _first_blocking(x: NormalForm, family: ADFamily) -> int | None:
+    """Index of the first family member that meets x infinitely often.
+
+    Distinct words give almost disjoint branch sets, so x meets the branch
+    set of w infinitely often iff (w in x.words) != x.complemented.
+    """
+    words = frozenset(x.words)
+    for idx, member in enumerate(family.members):
+        if (member.word in words) != x.complemented:
+            return idx
+    return None
+
+
 def blocking_nbhd(candidate: SetDescriptor, family: ADFamily) -> BlockingCertificate | None:
     """Find a family member with provably infinite overlap with the candidate.
 
     None means no member blocks it (the finite-family analogue of
     non-maximality: the candidate is almost disjoint from every member).
+    The member is found from the words; only its overlap is built, for the
+    certificate's prefix, and verify() checks it on the full normal form.
     """
     x = nf(candidate)
     if x.is_finite():
         raise ValueError("candidate must denote an infinite set")
-    for idx, member in enumerate(family.members):
-        overlap = nf_intersection(x, nf(member))
-        if not overlap.is_finite():
-            return BlockingCertificate(candidate, idx, member.word,
-                                       nf_enumerate(overlap, 5))
-    return None
+    idx = _first_blocking(x, family)
+    if idx is None:
+        return None
+    member = family.members[idx]
+    overlap = nf_intersection(x, nf(member))
+    return BlockingCertificate(candidate, idx, member.word, nf_enumerate(overlap, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +500,8 @@ def converges(seq: EventualSequence, point, topology) -> bool:
             tail = _tail_nf(seq)
             if isinstance(topology, ConvSeq):
                 return True
-            # the tail meets the branch set of w infinitely often iff
-            # (w in tail.words) != tail.complemented; a blocking member is
-            # one such w, and the limit needs that none exists
-            return all((w in tail.words) == tail.complemented
-                       for w in topology.family.words)
+            # the limit needs that no family member meets the tail infinitely often
+            return _first_blocking(tail, topology.family) is None
         if isinstance(point, int):
             # singletons are open in both spaces
             return isinstance(seq.tail, ConstantTail) and seq.tail.value == point

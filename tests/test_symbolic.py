@@ -21,6 +21,7 @@ from revtop.descriptors import (
     Word,
     nf,
     nf_enumerate,
+    nf_intersection,
     nf_member,
     word_contains,
     z_nf,
@@ -402,6 +403,8 @@ def random_infinite_tail(rng, fam):
 
 
 def test_refined_convergence_agrees_with_the_blocking_search():
+    """Both routes that read the words agree with the full normal form of
+    each overlap: the first member meeting the tail infinitely often."""
     fam = ad_family(8)
     assert not set(fam.members) & set(OUTSIDERS)
     refined = construct_o_star(fam)
@@ -409,10 +412,52 @@ def test_refined_convergence_agrees_with_the_blocking_search():
     verdicts = []
     for _ in range(240):
         d = random_infinite_tail(rng, fam)
+        x = nf(d)
+        first = next((i for i, m in enumerate(fam.members)
+                      if not nf_intersection(x, nf(m)).is_finite()), None)
         verdict = converges(EventualSequence((), EnumerationTail(d)), STAR, refined)
-        assert verdict == (blocking_nbhd(d, fam) is None), d
+        assert verdict == (first is None), d
+        cert = blocking_nbhd(d, fam)
+        if first is None:
+            assert cert is None, d
+        else:
+            assert cert is not None and cert.index == first and cert.verify(), d
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def test_blocking_search_builds_only_the_certificate_overlap(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return nf_intersection(x, y)
+
+    monkeypatch.setattr(symbolic, "nf_intersection", counted)
+    fam = ad_family(64)
+    cert = blocking_nbhd(fam.members[63], fam)
+    assert cert is not None and cert.index == 63
+    assert len(calls) == 1
+    calls.clear()
+    assert blocking_nbhd(BranchSet(Word("", "011")), fam) is None
+    assert calls == []
+
+
+def test_forged_blocking_certificates_are_rejected():
+    fam = ad_family(4)
+    member = fam.members[1]
+    # the member without 2, together with 3, which lies outside the member
+    candidate = UnionSet((DifferenceSet(member, FiniteSet((2,))), FiniteSet((3,))))
+    assert nf_member(nf(member), 2) and not nf_member(nf(member), 3)
+    cert = blocking_nbhd(candidate, fam)
+    assert cert is not None and cert.index == 1 and cert.verify()
+    # an index and word whose overlap with the candidate is finite
+    for i in (0, 2, 3):
+        assert not dataclasses.replace(cert, index=i, word=fam.members[i].word).verify()
+    # a prefix element outside the candidate, or outside the member
+    prefix = cert.intersection_prefix
+    assert not dataclasses.replace(cert, intersection_prefix=(2,) + prefix[1:]).verify()
+    assert not dataclasses.replace(cert, intersection_prefix=prefix[:4] + (3,)).verify()
 
 
 def test_unique_limits():
