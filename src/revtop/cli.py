@@ -60,9 +60,7 @@ def cmd_enum(args) -> int:
     if args.format == "summary":
         chunks = [f"n={args.n} topologies={len(cat)} orbits={cat.orbit_count}\n"]
     else:
-        # the line _dumps(t.to_json()) writes, formatted without a dict
-        chunks = ('{"n":%d,"opens":[%s]}\n' % (t.n, ",".join(map(str, t.opens)))
-                  for t in cat.topologies)
+        chunks = (_dumps(t.to_json()) + "\n" for t in cat.topologies)
     _emit(chunks, args.out)
     return 0
 
@@ -166,6 +164,9 @@ def cmd_ostar(args) -> int:
             candidate = DifferenceSet(member, FiniteSet(removed))
             cert = sym.blocking_nbhd(candidate, family)
             seq = sym.EventualSequence((), sym.EnumerationTail(candidate))
+            # the search and converges(..., refined) read the same word rule,
+            # so flip only checks their consistency; cert.verify() is the
+            # independent route, on the full normal form of the overlap
             flip = (sym.converges(seq, sym.STAR, sym.ConvSeq())
                     and not sym.converges(seq, sym.STAR, refined))
             if cert is not None and cert.index == idx and cert.verify() and flip:

@@ -38,15 +38,6 @@ def test_enum_json_lines_match_catalog():
     assert rows == [t.to_json() for t in catalog(2).topologies]
 
 
-def test_enum_json_lines_are_the_dumped_topologies(capsys):
-    # lines are formatted without a dict; they must stay what _dumps writes
-    from revtop.cli import _dumps, main
-
-    assert main(["enum", "--n", "5", "--format", "json"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == [_dumps(t.to_json()) for t in catalog(5).topologies]
-
-
 def test_enum_writes_file_atomically(tmp_path):
     target, plain = tmp_path / "out.jsonl", tmp_path / "plain"
     proc = run_cli("enum", "--n", "2", "--format", "json", "--out", str(target))
