@@ -30,11 +30,11 @@ from .descriptors import (
     Word,
     ZDescriptor,
     as_initial_segment,
+    code_of_bits,
     image_nf_omega,
     image_z_nf,
     nf,
     nf_complement,
-    nf_difference,
     nf_enumerate,
     nf_intersection,
     nf_member,
@@ -380,27 +380,36 @@ class ClosureWitness:
 
 def star_in_closure_check(family: ADFamily, blocked, neighborhood: OmegaStarSet) -> ClosureWitness:
     """Witness that a basic refined neighborhood of the limit point meets the
-    naturals: pick an unblocked member and walk it past the blocked ones."""
+    naturals, found from the words alone.
+
+    beta is the first unblocked member.  Let depth be the longest prefix that
+    its word shares with a blocked word (0 when nothing is blocked).  Every
+    code of length at most depth lies in the blocked member attaining the
+    depth, and no longer code of beta's word lies in any blocked member.  So
+    the first code past depth that the neighborhood keeps is the least
+    element of B(beta) minus the blocked members, within the neighborhood.
+    """
     blocked = tuple(sorted(set(blocked)))
     for idx in blocked:
         if not 0 <= idx < len(family):
             raise ValueError(f"blocked index {idx} out of range")
-    if not neighborhood.star or not nf(neighborhood.omega).is_cofinite():
+    omega = nf(neighborhood.omega)
+    if not neighborhood.star or not omega.is_cofinite():
         raise UnsupportedDescriptorError(
             "neighborhood must be a cofinite set together with the limit point")
-    free = [i for i in range(len(family)) if i not in blocked]
-    if not free:
+    beta = next((i for i in range(len(family)) if i not in blocked), None)
+    if beta is None:
         raise NoBetaAvailableError(
             "all family members blocked; finite families are never maximal")
-    beta = free[0]
-    survivors = nf(family.members[beta])
-    for idx in blocked:
-        survivors = nf_difference(survivors, nf(family.members[idx]))
-    survivors = nf_intersection(survivors, nf(neighborhood.omega))
-    element = nf_enumerate(survivors, 1)
-    if not element:
-        raise AssertionError("almost-disjointness guarantees an infinite survivor set")
-    return ClosureWitness(family, blocked, neighborhood, beta, element[0])
+    word = family.members[beta].word
+    depth = max((word_lcp(word, family.members[idx].word) for idx in blocked), default=0)
+    # a cofinite normal form lists its excluded points in plus; codes grow
+    # with their length, so each excluded point costs at most one length
+    for length in range(depth + 1, depth + len(omega.plus) + 2):
+        element = code_of_bits(word.bits(length))
+        if element not in omega.plus:
+            return ClosureWitness(family, blocked, neighborhood, beta, element)
+    raise AssertionError("a cofinite neighborhood keeps a code past the blocked depth")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from revtop.descriptors import (
     UnsupportedDescriptorError,
     Word,
     nf,
+    nf_difference,
     nf_enumerate,
     nf_intersection,
     nf_member,
@@ -329,6 +330,91 @@ def test_star_in_closure_witnesses():
         star_in_closure_check(fam, (0, 1, 2), whole)
     with pytest.raises(UnsupportedDescriptorError):
         star_in_closure_check(fam, (), OmegaStarSet(FiniteSet((1,)), star=True))
+
+
+def test_star_in_closure_validates_blocked_indices():
+    fam = ad_family(3)
+    whole = OmegaStarSet(CofiniteSet(()), star=True)
+    for bad in (-1, len(fam)):
+        with pytest.raises(ValueError, match="out of range"):
+            star_in_closure_check(fam, (0, bad), whole)
+    w = star_in_closure_check(fam, (1, 0, 1, 0), whole)
+    assert w.blocked == (0, 1) and w.beta == 2 and w.verify()
+
+
+def least_survivor(fam, blocked, nbhd):
+    """The normal-form route: the first unblocked member, minus every blocked
+    member, within the neighborhood, and its least element."""
+    beta = min(set(range(len(fam))) - set(blocked))
+    survivors = nf(fam.members[beta])
+    for idx in blocked:
+        survivors = nf_difference(survivors, nf(fam.members[idx]))
+    survivors = nf_intersection(survivors, nf(nbhd.omega))
+    return beta, nf_enumerate(survivors, 1)[0]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 64])
+def test_closure_witness_is_the_least_survivor(size):
+    """The search reads the words; the oracle composes the normal forms.
+    Some neighborhoods exclude the first codes past the blocked depth, so
+    the search must step over excluded points."""
+    fam = ad_family(size)
+    rng = random.Random(20261019 + size)
+    stepped = 0
+    for _ in range(300):
+        blocked = tuple(rng.sample(range(size), rng.randrange(min(size, 6))))
+        excluded = set(rng.sample(range(600), rng.randrange(31)))
+        if rng.random() < 0.5:
+            first = least_survivor(fam, blocked, OmegaStarSet(OMEGA_SET, star=True))[1]
+            excluded.add(first)
+            stepped += 1
+        nbhd = OmegaStarSet(CofiniteSet(tuple(excluded)), star=True)
+        w = star_in_closure_check(fam, blocked, nbhd)
+        assert (w.beta, w.element) == least_survivor(fam, blocked, nbhd), (blocked, excluded)
+        assert w.verify()
+    assert stepped > 0
+
+
+def test_closure_search_composes_no_normal_forms(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    for fn in (nf_difference, nf_intersection, nf_enumerate):
+        monkeypatch.setattr(symbolic, fn.__name__, counted(fn), raising=False)
+    fam = ad_family(64)
+    nbhd = OmegaStarSet(CofiniteSet(tuple(range(40))), star=True)
+    w = star_in_closure_check(fam, (0, 1, 2, 3, 4), nbhd)
+    assert w.beta == 5 and w.verify()
+    assert calls == []
+
+
+def test_closure_search_that_runs_out_is_a_program_fault(monkeypatch):
+    """Each excluded point costs at most one length, so the walk is bounded;
+    a walk that still finds nothing raises instead of looping."""
+    monkeypatch.setattr(symbolic, "code_of_bits", lambda bits: 0)
+    with pytest.raises(AssertionError):
+        star_in_closure_check(ad_family(2), (), OmegaStarSet(CofiniteSet((0,)), star=True))
+
+
+def test_forged_closure_witnesses_are_rejected():
+    fam = ad_family(4)
+    # beta's word 001... shares "0" (code 2) with the blocked 01...; the
+    # neighborhood drops "00" (code 4), so the witness is "001" (code 9)
+    w = star_in_closure_check(fam, (0, 1), OmegaStarSet(CofiniteSet((4,)), star=True))
+    assert (w.beta, w.element) == (2, 9) and w.verify()
+    # beta is blocked
+    assert not dataclasses.replace(w, blocked=(1, 2)).verify()
+    # the element is a code shared with a blocked word
+    assert not dataclasses.replace(w, element=2).verify()
+    # the element is excluded by the neighborhood
+    assert not dataclasses.replace(w, element=4).verify()
+    # the element is off beta's branch: 6 is the code of "10", on no member
+    assert not dataclasses.replace(w, element=6).verify()
 
 
 def test_blocking_certificates():
