@@ -2,16 +2,18 @@
 
 Ground sets: the naturals (with branch sets coded from eventually periodic
 binary words), the integers extended by a first element z, and the naturals
-extended by a limit point.  Every descriptor normalizes into a closed
-normal-form algebra, so boolean combinations stay exactly decidable:
-membership, cardinality (finite / cofinite / neither) and equality are all
-computed on normal forms, never approximated.
+extended by a limit point.  Every descriptor over the naturals normalizes
+into a closed normal-form algebra, so boolean combinations stay exactly
+decidable: membership, cardinality (finite / cofinite / neither) and
+equality are all computed on normal forms, never approximated.  A set on
+the z-extended line is one of the four open shapes of the initial-segment
+topology (empty, the whole line, [z, a) and (z, b)); distinct shapes are
+distinct sets, and a shift moves a segment's bound.
 """
 from __future__ import annotations
 
 import heapq
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -343,8 +345,9 @@ def nf_enumerate(x: NormalForm, count: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# descriptors over the integer line with a first element z; a set is stored
-# as the points where its membership switches
+# subsets of the integer line with a first element z: the four shapes of an
+# initial-segment open set, which are pairwise distinct sets, so comparing
+# values compares sets
 # ---------------------------------------------------------------------------
 
 class ZDescriptor:
@@ -375,117 +378,6 @@ class OpenLeftZ(ZDescriptor):
     """The open initial segment (z, b): all integers x < b, without z."""
 
     b: int
-
-
-@dataclass(frozen=True)
-class FiniteZ(ZDescriptor):
-    has_first: bool
-    ints: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ints", tuple(sorted(set(self.ints))))
-
-
-@dataclass(frozen=True)
-class UnionZ(ZDescriptor):
-    parts: tuple[ZDescriptor, ...]
-
-
-@dataclass(frozen=True)
-class IntersectionZ(ZDescriptor):
-    parts: tuple[ZDescriptor, ...]
-
-
-@dataclass(frozen=True)
-class DifferenceZ(ZDescriptor):
-    left: ZDescriptor
-    right: ZDescriptor
-
-
-@dataclass(frozen=True)
-class ZNormalForm(ZDescriptor):
-    """Canonical form of a describable subset of {z} + the integers.
-
-    `has_first` says whether z is in the set and `low` whether the integers
-    far to the left are.  `switches` is the sorted tuple of the integers p
-    whose membership differs from that of p - 1, so each set has exactly
-    one form, and its size is the number of boundaries, not the number of
-    integers between them.  A normal form is itself a descriptor, the one
-    that `z_nf` returns unchanged.
-    """
-
-    has_first: bool
-    low: bool
-    switches: tuple[int, ...]
-
-
-def z_nf_member(x: ZNormalForm, p) -> bool:
-    if p is Z_FIRST:
-        return x.has_first
-    if not isinstance(p, int):
-        raise UnsupportedDescriptorError(f"not a point of the z-extended line: {p!r}")
-    return x.low != (bisect_right(x.switches, p) % 2 == 1)
-
-
-def _z_combine(x: ZNormalForm, y: ZNormalForm, op) -> ZNormalForm:
-    """Normal form of {p : op(p in x, p in y)} for a boolean operation op.
-
-    Membership of the result can change only where an operand's does, so
-    its switches are the operands' switch points at which op changes value.
-    """
-    low = inside = op(x.low, y.low)
-    switches = []
-    for p in sorted(set(x.switches) | set(y.switches)):
-        if op(z_nf_member(x, p), z_nf_member(y, p)) != inside:
-            switches.append(p)
-            inside = not inside
-    return ZNormalForm(op(x.has_first, y.has_first), low, tuple(switches))
-
-
-@lru_cache(maxsize=8192)
-def z_nf(d: ZDescriptor) -> ZNormalForm:
-    """Normal form of a descriptor over the z-extended line; a normal form
-    is returned unchanged."""
-    if isinstance(d, ZNormalForm):
-        return d
-    if isinstance(d, EmptyZ):
-        return ZNormalForm(False, False, ())
-    if isinstance(d, AllZ):
-        return ZNormalForm(True, True, ())
-    if isinstance(d, ClosedLeftZ):
-        return ZNormalForm(True, True, (d.a,))
-    if isinstance(d, OpenLeftZ):
-        return ZNormalForm(False, True, (d.b,))
-    if isinstance(d, FiniteZ):
-        # p switches iff exactly one of p and p - 1 is listed
-        return ZNormalForm(d.has_first, False,
-                           tuple(sorted(set(d.ints) ^ {e + 1 for e in d.ints})))
-    if isinstance(d, UnionZ):
-        acc = z_nf(EmptyZ())
-        for part in d.parts:
-            acc = _z_combine(acc, z_nf(part), operator.or_)
-        return acc
-    if isinstance(d, IntersectionZ):
-        acc = z_nf(AllZ())
-        for part in d.parts:
-            acc = _z_combine(acc, z_nf(part), operator.and_)
-        return acc
-    if isinstance(d, DifferenceZ):
-        return _z_combine(z_nf(d.left), z_nf(d.right), lambda a, b: a and not b)
-    raise UnsupportedDescriptorError(f"not a descriptor over the z-extended line: {d!r}")
-
-
-def as_initial_segment(x: ZNormalForm):
-    """Classify a z-ground set against the initial-segment open-set shapes.
-
-    Returns ("empty", None), ("all", None), ("closedleft", a) or
-    ("openleft", b) when the set is exactly of that shape, else None.
-    """
-    if not x.switches and x.low == x.has_first:
-        return ("all" if x.low else "empty", None)
-    if len(x.switches) == 1 and x.low:
-        return ("closedleft" if x.has_first else "openleft", x.switches[0])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +455,14 @@ def image_nf_omega(f: FinSupportPerm, x: NormalForm) -> NormalForm:
     return nf_union(outside, _finite_nf(f.apply(e) for e in support if nf_member(x, e)))
 
 
-def image_z_nf(f: ShiftZ, x: ZNormalForm) -> ZNormalForm:
-    """Exact image of a z-line set under a shift: z stays, every switch moves."""
-    return ZNormalForm(x.has_first, x.low, tuple(p + f.k for p in x.switches))
+def image_z(f: ShiftZ, d: ZDescriptor) -> ZDescriptor:
+    """Exact image of a z-line shape under a shift: z stays and the bound
+    moves, so the empty set and the whole line are fixed."""
+    if isinstance(d, ClosedLeftZ):
+        return ClosedLeftZ(d.a + f.k)
+    if isinstance(d, OpenLeftZ):
+        return OpenLeftZ(d.b + f.k)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +476,11 @@ def descriptor_to_json(d) -> dict:
         return {"tag": "cofinite", "excluded": list(d.excluded)}
     if isinstance(d, BranchSet):
         return {"tag": "branch", "word": d.word.to_json()}
-    if isinstance(d, (UnionSet, UnionZ)):
+    if isinstance(d, UnionSet):
         return {"tag": "union", "parts": [descriptor_to_json(p) for p in d.parts]}
-    if isinstance(d, (IntersectionSet, IntersectionZ)):
+    if isinstance(d, IntersectionSet):
         return {"tag": "intersection", "parts": [descriptor_to_json(p) for p in d.parts]}
-    if isinstance(d, (DifferenceSet, DifferenceZ)):
+    if isinstance(d, DifferenceSet):
         return {"tag": "difference", "left": descriptor_to_json(d.left),
                 "right": descriptor_to_json(d.right)}
     if isinstance(d, EmptyZ):
@@ -594,14 +491,21 @@ def descriptor_to_json(d) -> dict:
         return {"tag": "closedleft", "a": d.a}
     if isinstance(d, OpenLeftZ):
         return {"tag": "openleft", "b": d.b}
-    if isinstance(d, FiniteZ):
-        return {"tag": "zfinite", "first": d.has_first, "ints": list(d.ints)}
     if isinstance(d, OmegaStarSet):
         return {"tag": "withstar", "omega": descriptor_to_json(d.omega), "star": d.star}
     raise UnsupportedDescriptorError(f"no JSON form for {d!r}")
 
 
-def omega_descriptor_from_json(data: dict) -> SetDescriptor:
+def omega_descriptor_from_json(data: dict) -> SetDescriptor | OmegaStarSet:
+    """Read a descriptor over the naturals; a top-level `withstar` reads back
+    as an OmegaStarSet.  The limit point is not a natural, so a `withstar`
+    nested in a composite raises UnsupportedDescriptorError."""
+    if data["tag"] == "withstar":
+        return OmegaStarSet(_omega_from_json(data["omega"]), bool(data["star"]))
+    return _omega_from_json(data)
+
+
+def _omega_from_json(data: dict) -> SetDescriptor:
     tag = data["tag"]
     if tag == "finite":
         return FiniteSet(tuple(data["elements"]))
@@ -610,16 +514,16 @@ def omega_descriptor_from_json(data: dict) -> SetDescriptor:
     if tag == "branch":
         return BranchSet(Word.from_json(data["word"]))
     if tag == "union":
-        return UnionSet(tuple(omega_descriptor_from_json(p) for p in data["parts"]))
+        return UnionSet(tuple(_omega_from_json(p) for p in data["parts"]))
     if tag == "intersection":
-        return IntersectionSet(tuple(omega_descriptor_from_json(p) for p in data["parts"]))
+        return IntersectionSet(tuple(_omega_from_json(p) for p in data["parts"]))
     if tag == "difference":
-        return DifferenceSet(omega_descriptor_from_json(data["left"]),
-                             omega_descriptor_from_json(data["right"]))
+        return DifferenceSet(_omega_from_json(data["left"]), _omega_from_json(data["right"]))
     raise UnsupportedDescriptorError(f"unknown natural-ground descriptor tag {tag!r}")
 
 
 def z_descriptor_from_json(data: dict) -> ZDescriptor:
+    """Read one of the four z-line shapes."""
     tag = data["tag"]
     if tag == "empty":
         return EmptyZ()
@@ -629,13 +533,4 @@ def z_descriptor_from_json(data: dict) -> ZDescriptor:
         return ClosedLeftZ(int(data["a"]))
     if tag == "openleft":
         return OpenLeftZ(int(data["b"]))
-    if tag == "zfinite":
-        return FiniteZ(bool(data["first"]), tuple(data["ints"]))
-    if tag == "union":
-        return UnionZ(tuple(z_descriptor_from_json(p) for p in data["parts"]))
-    if tag == "intersection":
-        return IntersectionZ(tuple(z_descriptor_from_json(p) for p in data["parts"]))
-    if tag == "difference":
-        return DifferenceZ(z_descriptor_from_json(data["left"]),
-                           z_descriptor_from_json(data["right"]))
     raise UnsupportedDescriptorError(f"unknown z-ground descriptor tag {tag!r}")

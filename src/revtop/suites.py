@@ -86,16 +86,15 @@ def _prop14_verdicts(orbits) -> list[bool]:
     return verdicts
 
 
+def _thm31_verdict(rep, cls, fast: bool) -> bool:
+    """The transposition test's answer `fast` and the classification both
+    agree with the orbit having a single member."""
+    label = classify_strongly_reversible(rep)
+    return fast == (len(cls) == 1) and fast == (label != StrongKind.NOT_STRONGLY_REVERSIBLE)
+
+
 def _thm31_verdicts(orbits) -> list[bool]:
-    """The transposition test and the classification both agree with the
-    orbit having a single member."""
-    verdicts = []
-    for rep, cls in orbits:
-        fast = is_strongly_reversible(rep)
-        label = classify_strongly_reversible(rep)
-        verdicts.append(fast == (len(cls) == 1)
-                        and fast == (label != StrongKind.NOT_STRONGLY_REVERSIBLE))
-    return verdicts
+    return [_thm31_verdict(rep, cls, is_strongly_reversible(rep)) for rep, cls in orbits]
 
 
 _ORBIT_VERDICTS = {
@@ -105,19 +104,23 @@ _ORBIT_VERDICTS = {
 }
 
 
-def orbit_verdicts(name: str, cat: TopologyCatalog) -> list[
-        tuple[FiniteTopology, tuple[FiniteTopology, ...], bool]]:
-    """(representative, orbit, verdict) for each orbit of the catalog, in
-    ``orbit_reps`` order: the per-topology suite ``name`` evaluated once at
-    the representative.
-
-    A verdict is weighted by its orbit's size, so the sizes are first checked
-    to add up to the catalog size; the AssertionError survives python -O."""
+def _orbits(cat: TopologyCatalog) -> list[tuple[FiniteTopology, tuple[FiniteTopology, ...]]]:
+    """(representative, orbit) for each orbit of the catalog, in ``orbit_reps``
+    order.  A verdict is weighted by its orbit's size, so the sizes are first
+    checked to add up to the catalog size; the AssertionError survives
+    python -O."""
     covered = sum(len(cat.orbits[rep]) for rep in cat.orbit_reps)
     if covered != len(cat.topologies):
         raise AssertionError(f"orbit sizes sum to {covered}, "
                              f"but the catalog has {len(cat.topologies)} topologies")
-    orbits = [(rep, cat.orbits[rep]) for rep in cat.orbit_reps]
+    return [(rep, cat.orbits[rep]) for rep in cat.orbit_reps]
+
+
+def orbit_verdicts(name: str, cat: TopologyCatalog) -> list[
+        tuple[FiniteTopology, tuple[FiniteTopology, ...], bool]]:
+    """(representative, orbit, verdict) for each orbit of the catalog: the
+    per-topology suite ``name`` evaluated once at the representative."""
+    orbits = _orbits(cat)
     verdicts = _ORBIT_VERDICTS[name](orbits)
     return [(rep, cls, ok) for (rep, cls), ok in zip(orbits, verdicts)]
 
@@ -177,9 +180,11 @@ def suite_thm31(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """Strong-reversibility classification agrees with the orbit test; the
     strongly reversible topologies are exactly the two trivial ones."""
     cat = catalog(n)
-    verdicts = orbit_verdicts("thm31", cat)
+    orbits = _orbits(cat)
+    fast = [is_strongly_reversible(rep) for rep, _ in orbits]
+    verdicts = [(rep, cls, _thm31_verdict(rep, cls, f)) for (rep, cls), f in zip(orbits, fast)]
     agreed = _agreed(verdicts)
-    strong = sum(len(cls) for rep, cls, _ in verdicts if is_strongly_reversible(rep))
+    strong = sum(len(cls) for (_, cls), f in zip(orbits, fast) if f)
     expected = 1 if n <= 1 else 2
     detail = "; ".join(filter(None, (f"strongly_reversible={strong} expected={expected}",
                                       _first_disagreement(verdicts))))

@@ -29,17 +29,16 @@ from .descriptors import (
     UnsupportedDescriptorError,
     Word,
     ZDescriptor,
-    as_initial_segment,
     code_of_bits,
+    descriptor_to_json,
     image_nf_omega,
-    image_z_nf,
+    image_z,
     nf,
     nf_complement,
     nf_enumerate,
     nf_intersection,
     nf_member,
     word_lcp,
-    z_nf,
 )
 
 
@@ -164,13 +163,8 @@ def member_open(d, topology) -> bool:
         if not isinstance(d, ZDescriptor):
             raise UnsupportedDescriptorError(
                 f"expected a subset of the z-extended line, got {d!r}")
-        shape = as_initial_segment(z_nf(d))
-        if shape is None:
-            return False
-        kind, bound = shape
-        if kind == "openleft":
-            return bound <= topology.c
-        return True
+        # every shape is open but the segments (z, b) past the cutoff
+        return not isinstance(d, OpenLeftZ) or d.b <= topology.c
     if isinstance(topology, ConvSeq):
         part = _omega_star_part(d)
         return (not part.star) or nf(part.omega).is_cofinite()
@@ -198,16 +192,17 @@ def image_descriptor(f: SymbolicMap, d):
     if isinstance(f, FinSupportPerm) and isinstance(d, SetDescriptor):
         return image_nf_omega(f, nf(d))
     if isinstance(f, ShiftZ) and isinstance(d, ZDescriptor):
-        return image_z_nf(f, z_nf(d))
+        return image_z(f, d)
     raise UnsupportedDescriptorError(f"no image rule for {f!r} on {d!r}")
 
 
 def _normal(d):
-    """Normal form of a descriptor on either ground, keeping the limit point."""
+    """Normal form of a descriptor over the naturals, keeping the limit point;
+    a z-line shape is already the only value for its set."""
     if isinstance(d, OmegaStarSet):
         return OmegaStarSet(nf(d.omega), d.star)
     if isinstance(d, ZDescriptor):
-        return z_nf(d)
+        return d
     return nf(d)
 
 
@@ -306,7 +301,7 @@ class NonreversibilityWitness:
         return {
             "map": {"tag": "shiftz", "k": self.map.k},
             "image_c": self.image.c,
-            "separator": {"tag": "openleft", "b": self.separator.b},
+            "separator": descriptor_to_json(self.separator),
             "verified": self.verify(),
         }
 

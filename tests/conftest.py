@@ -3,6 +3,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from revtop.descriptors import Z_FIRST, AllZ, ClosedLeftZ, EmptyZ, OpenLeftZ
 from revtop.enumeration import catalog
 from revtop.topology import (
     FiniteTopology,
@@ -117,6 +118,20 @@ def topology_of_preorder(up) -> FiniteTopology:
         else:
             opens.append(m)
     return FiniteTopology(n, tuple(opens))
+
+
+def z_points(d, window) -> frozenset:
+    """Oracle for a z-line shape: its points in a window of the line, by the
+    definition of each shape."""
+    if isinstance(d, EmptyZ):
+        return frozenset()
+    if isinstance(d, AllZ):
+        return frozenset(window)
+    if isinstance(d, ClosedLeftZ):
+        return frozenset(p for p in window if p is Z_FIRST or p < d.a)
+    if isinstance(d, OpenLeftZ):
+        return frozenset(p for p in window if p is not Z_FIRST and p < d.b)
+    raise AssertionError(d)
 
 
 @pytest.fixture(scope="session")

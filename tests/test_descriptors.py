@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import z_points
 from revtop.descriptors import (
     STAR,
     Z_FIRST,
@@ -10,24 +11,21 @@ from revtop.descriptors import (
     ClosedLeftZ,
     CofiniteSet,
     DifferenceSet,
-    DifferenceZ,
     EmptyZ,
     FiniteSet,
-    FiniteZ,
     FinSupportPerm,
     IntersectionSet,
-    IntersectionZ,
+    OmegaStarSet,
     OpenLeftZ,
     ShiftZ,
     UnionSet,
-    UnionZ,
     UnsupportedDescriptorError,
     Word,
-    as_initial_segment,
     branch_codes,
     code_of_bits,
     descriptor_to_json,
     image_nf_omega,
+    image_z,
     nf,
     nf_complement,
     nf_enumerate,
@@ -37,8 +35,6 @@ from revtop.descriptors import (
     word_contains,
     word_lcp,
     z_descriptor_from_json,
-    z_nf,
-    z_nf_member,
 )
 
 WINDOW = range(0, 130)
@@ -220,119 +216,36 @@ def test_cardinality_classification():
     assert nf(DifferenceSet(CofiniteSet(()), BranchSet(Word("", "0")))).kind == "co_branches"
 
 
-# --- z-line descriptors -----------------------------------------------------
+# --- z-line shapes ----------------------------------------------------------
 
-FAR = 10**6  # a ray bound far from the others: nothing may list the gap between them
+Z_WINDOW = list(range(-25, 26)) + [Z_FIRST]
 
 
-def z_leaves():
-    bounds = st.one_of(st.integers(-8, 8), st.sampled_from((-FAR, FAR)))
+def z_shapes():
+    bounds = st.integers(-8, 8)
     return st.one_of(
         st.just(EmptyZ()),
         st.just(AllZ()),
         st.builds(ClosedLeftZ, bounds),
         st.builds(OpenLeftZ, bounds),
-        st.builds(lambda f, xs: FiniteZ(f, tuple(xs)),
-                  st.booleans(), st.lists(st.integers(-8, 8), max_size=3)),
     )
 
 
-def z_descriptors():
-    return st.recursive(
-        z_leaves(),
-        lambda children: st.one_of(
-            st.builds(lambda ps: UnionZ(tuple(ps)), st.lists(children, min_size=1, max_size=3)),
-            st.builds(lambda ps: IntersectionZ(tuple(ps)), st.lists(children, min_size=1, max_size=3)),
-            st.builds(DifferenceZ, children, children),
-        ),
-        max_leaves=6)
-
-
-Z_WINDOW = list(range(-25, 26)) + [-FAR - 1, -FAR, FAR - 1, FAR] + [Z_FIRST]
-
-
-def eval_z(d, window=None):
-    window = window if window is not None else Z_WINDOW
-    if isinstance(d, EmptyZ):
-        return set()
-    if isinstance(d, AllZ):
-        return set(window)
-    if isinstance(d, ClosedLeftZ):
-        return {p for p in window if p is Z_FIRST or p < d.a}
-    if isinstance(d, OpenLeftZ):
-        return {p for p in window if p is not Z_FIRST and p < d.b}
-    if isinstance(d, FiniteZ):
-        out = {p for p in window if p is not Z_FIRST and p in d.ints}
-        if d.has_first:
-            out.add(Z_FIRST)
-        return out
-    if isinstance(d, UnionZ):
-        out = set()
-        for p in d.parts:
-            out |= eval_z(p, window)
-        return out
-    if isinstance(d, IntersectionZ):
-        out = set(window)
-        for p in d.parts:
-            out &= eval_z(p, window)
-        return out
-    if isinstance(d, DifferenceZ):
-        return eval_z(d.left, window) - eval_z(d.right, window)
-    raise AssertionError(d)
-
-
-@given(z_descriptors())
-@settings(max_examples=300, deadline=None)
-def test_z_normal_form_membership_homomorphism(d):
-    x = z_nf(d)
-    expected = eval_z(d)
-    got = {p for p in Z_WINDOW if z_nf_member(x, p)}
-    assert got == expected
-    assert z_nf(x) == x  # a normal form is its own descriptor
-
-
-@given(z_descriptors(), z_descriptors())
-@settings(max_examples=150, deadline=None)
-def test_z_normal_form_is_canonical(a, b):
-    # same denotation on a window wide enough to separate all bounds used
-    same = eval_z(a) == eval_z(b)
-    assert (z_nf(a) == z_nf(b)) == same
-
-
-def test_z_normal_form_size_counts_boundaries():
-    point_far_right = UnionZ((OpenLeftZ(0), FiniteZ(False, (FAR,))))
-    assert z_nf(point_far_right).switches == (0, FAR, FAR + 1)
-    ray_far_right = UnionZ((OpenLeftZ(0), DifferenceZ(AllZ(), ClosedLeftZ(FAR))))
-    assert z_nf(ray_far_right).switches == (0, FAR)
-
-
-@given(st.integers(-10, 10), st.integers(-10, 10))
+@given(z_shapes(), st.integers(-10, 10))
 @settings(max_examples=200, deadline=None)
-def test_segment_lattice_identities(a, b):
-    # union of a closed and an open initial segment is the closed one at the max
-    union = z_nf(UnionZ((ClosedLeftZ(a), OpenLeftZ(b))))
-    assert union == z_nf(ClosedLeftZ(max(a, b)))
-    inter = z_nf(IntersectionZ((ClosedLeftZ(a), OpenLeftZ(b))))
-    assert inter == z_nf(OpenLeftZ(min(a, b)))
+def test_shift_image_of_each_shape_is_pointwise(d, k):
+    # the source window covers the preimage of Z_WINDOW under every shift used
+    f = ShiftZ(k)
+    source = list(range(-40, 41)) + [Z_FIRST]
+    moved = {f.apply(p) for p in z_points(d, source)}
+    assert z_points(image_z(f, d), Z_WINDOW) == moved & set(Z_WINDOW)
 
 
-def test_as_initial_segment_classification():
-    assert as_initial_segment(z_nf(EmptyZ())) == ("empty", None)
-    assert as_initial_segment(z_nf(AllZ())) == ("all", None)
-    assert as_initial_segment(z_nf(ClosedLeftZ(5))) == ("closedleft", 5)
-    assert as_initial_segment(z_nf(OpenLeftZ(-2))) == ("openleft", -2)
-    assert as_initial_segment(z_nf(FiniteZ(False, (3,)))) is None
-    assert as_initial_segment(z_nf(DifferenceZ(ClosedLeftZ(5), FiniteZ(False, (0,))))) is None
-    # the classification reads the set, not the expression that built it
-    patched = UnionZ((OpenLeftZ(3), FiniteZ(False, (3,))))
-    assert as_initial_segment(z_nf(patched)) == ("openleft", 4)
-
-
-def test_z_contains():
-    assert z_nf_member(z_nf(ClosedLeftZ(0)), Z_FIRST)
-    assert z_nf_member(z_nf(ClosedLeftZ(0)), -5)
-    assert not z_nf_member(z_nf(ClosedLeftZ(0)), 0)
-    assert not z_nf_member(z_nf(OpenLeftZ(0)), Z_FIRST)
+@given(z_shapes(), z_shapes())
+@settings(max_examples=200, deadline=None)
+def test_z_shapes_are_distinct_sets(a, b):
+    # comparing shapes compares the sets they denote
+    assert (a == b) == (z_points(a, Z_WINDOW) == z_points(b, Z_WINDOW))
 
 
 # --- symbolic maps ----------------------------------------------------------
@@ -369,9 +282,37 @@ def test_json_round_trips():
                DifferenceSet(CofiniteSet(()), BranchSet(Word("", "0")))]
     for d in samples:
         assert omega_descriptor_from_json(descriptor_to_json(d)) == d
-    z_samples = [EmptyZ(), AllZ(), ClosedLeftZ(5), OpenLeftZ(-1),
-                 FiniteZ(True, (0, 2)), UnionZ((ClosedLeftZ(1), OpenLeftZ(3)))]
+    z_samples = [EmptyZ(), AllZ(), ClosedLeftZ(5), OpenLeftZ(-1)]
     for d in z_samples:
         assert z_descriptor_from_json(descriptor_to_json(d)) == d
     assert descriptor_to_json(BranchSet(Word("01", "1"))) == {
         "tag": "branch", "word": {"prefix": "0", "period": "1"}}
+
+
+def test_withstar_round_trips():
+    samples = [OmegaStarSet(CofiniteSet((0, 4)), star=True),
+               OmegaStarSet(BranchSet(Word("", "01")), star=False),
+               OmegaStarSet(UnionSet((FiniteSet((1,)), BranchSet(Word("", "0")))), star=True)]
+    for d in samples:
+        data = descriptor_to_json(d)
+        assert data["tag"] == "withstar"
+        assert omega_descriptor_from_json(data) == d
+
+
+def test_withstar_only_at_the_top_level():
+    inner = descriptor_to_json(OmegaStarSet(FiniteSet((1,)), star=True))
+    for data in ({"tag": "union", "parts": [inner]},
+                 {"tag": "difference", "left": {"tag": "cofinite", "excluded": []},
+                  "right": inner},
+                 {"tag": "withstar", "omega": inner, "star": False}):
+        with pytest.raises(UnsupportedDescriptorError):
+            omega_descriptor_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"tag": "zfinite", "first": True, "ints": [0, 2]},
+    {"tag": "union", "parts": [{"tag": "closedleft", "a": 1}, {"tag": "openleft", "b": 3}]},
+])
+def test_z_reader_accepts_only_the_four_shapes(data):
+    with pytest.raises(UnsupportedDescriptorError):
+        z_descriptor_from_json(data)

@@ -175,6 +175,21 @@ def test_every_printed_verdict_is_checked(monkeypatch, name, value):
             assert f"first disagreement: opens {list(first.opens)}" in r.detail
 
 
+def test_thm31_runs_the_transposition_test_once_per_orbit(monkeypatch):
+    import revtop.suites
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return is_strongly_reversible(t)
+
+    monkeypatch.setattr(revtop.suites, "is_strongly_reversible", counted)
+    result = SUITES["thm31"](4)
+    assert result.ok
+    assert len(calls) == len(catalog(4).orbit_reps) == 33
+    assert sorted(calls) == sorted(catalog(4).orbit_reps)
+
+
 def test_verify_names_the_first_disagreement(monkeypatch, capsys):
     import revtop.suites
     from revtop.cli import main

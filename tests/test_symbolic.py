@@ -3,13 +3,17 @@ import random
 
 import pytest
 
+from conftest import z_points
 from revtop import symbolic
 from revtop.descriptors import (
     STAR,
+    Z_FIRST,
+    AllZ,
     BranchSet,
     ClosedLeftZ,
     CofiniteSet,
     DifferenceSet,
+    EmptyZ,
     FiniteSet,
     FinSupportPerm,
     OMEGA_SET,
@@ -25,7 +29,6 @@ from revtop.descriptors import (
     nf_intersection,
     nf_member,
     word_contains,
-    z_nf,
 )
 from revtop.symbolic import (
     ADFamily,
@@ -62,13 +65,23 @@ def test_ordered_z_schema_membership():
     assert not member_open(OpenLeftZ(1), t)
     assert member_open(OpenLeftZ(0), t)
     assert member_open(OpenLeftZ(-7), t)
-    from revtop.descriptors import AllZ, EmptyZ, FiniteZ
     assert member_open(EmptyZ(), t)
     assert member_open(AllZ(), t)
-    assert not member_open(FiniteZ(False, (3,)), t)
-    # semantic equality: a union denoting a closed segment is recognized
-    from revtop.descriptors import UnionZ
-    assert member_open(UnionZ((ClosedLeftZ(2), OpenLeftZ(5))), t)
+
+
+@pytest.mark.parametrize("c", [-4, 0, 3])
+def test_ordered_z_membership_matches_the_definition(c):
+    """A shape is open iff its points on a window are those of one of the
+    listed opens: the empty set, the line, every [z, a) and (z, b) for b <= c."""
+    window = list(range(-20, 21)) + [Z_FIRST]
+    bounds = range(-15, 16)
+    opens = ([EmptyZ(), AllZ()] + [ClosedLeftZ(a) for a in bounds]
+             + [OpenLeftZ(b) for b in bounds if b <= c])
+    open_points = {z_points(o, window) for o in opens}
+    shapes = ([EmptyZ(), AllZ()] + [ClosedLeftZ(a) for a in range(-10, 11)]
+              + [OpenLeftZ(b) for b in range(-10, 11)])
+    for d in shapes:
+        assert member_open(d, OrderedZ(c)) == (z_points(d, window) in open_points), d
 
 
 def test_cosmall_membership():
@@ -109,8 +122,10 @@ def test_member_open_ground_mismatch():
 # --- images -----------------------------------------------------------------
 
 def test_image_descriptor_shift():
-    assert image_descriptor(ShiftZ(1), ClosedLeftZ(5)) == z_nf(ClosedLeftZ(6))
-    assert image_descriptor(ShiftZ(-2), OpenLeftZ(0)) == z_nf(OpenLeftZ(-2))
+    assert image_descriptor(ShiftZ(1), ClosedLeftZ(5)) == ClosedLeftZ(6)
+    assert image_descriptor(ShiftZ(-2), OpenLeftZ(0)) == OpenLeftZ(-2)
+    assert image_descriptor(ShiftZ(4), EmptyZ()) == EmptyZ()
+    assert image_descriptor(ShiftZ(4), AllZ()) == AllZ()
 
 
 def test_image_descriptor_fin_support():
