@@ -493,6 +493,10 @@ def descriptor_to_json(d) -> dict:
         return {"tag": "openleft", "b": d.b}
     if isinstance(d, OmegaStarSet):
         return {"tag": "withstar", "omega": descriptor_to_json(d.omega), "star": d.star}
+    if isinstance(d, NormalForm):
+        return {"tag": "normal", "complemented": d.complemented,
+                "words": [w.to_json() for w in d.words],
+                "plus": sorted(d.plus), "minus": sorted(d.minus)}
     raise UnsupportedDescriptorError(f"no JSON form for {d!r}")
 
 
@@ -519,7 +523,23 @@ def _omega_from_json(data: dict) -> SetDescriptor:
         return IntersectionSet(tuple(_omega_from_json(p) for p in data["parts"]))
     if tag == "difference":
         return DifferenceSet(_omega_from_json(data["left"]), _omega_from_json(data["right"]))
+    if tag == "normal":
+        return _normal_form_from_json(data)
     raise UnsupportedDescriptorError(f"unknown natural-ground descriptor tag {tag!r}")
+
+
+def _normal_form_from_json(data: dict) -> NormalForm:
+    """Read a normal form, refusing one that `nf` would not return: the set
+    is rebuilt from its words and points and must come out as written."""
+    x = NormalForm(bool(data["complemented"]), tuple(Word.from_json(w) for w in data["words"]),
+                   frozenset(data["plus"]), frozenset(data["minus"]))
+    outside = nf_complement(_finite_nf(x.plus))  # outside the branches and plus
+    for w in x.words:
+        outside = nf_intersection(outside, nf_complement(nf(BranchSet(w))))
+    core = nf_difference(nf_complement(outside), _finite_nf(x.minus))
+    if (nf_complement(core) if x.complemented else core) != x:
+        raise UnsupportedDescriptorError(f"not a normal form: {data!r}")
+    return x
 
 
 def z_descriptor_from_json(data: dict) -> ZDescriptor:

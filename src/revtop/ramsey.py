@@ -78,26 +78,27 @@ def _longest_run(values, find, stop: int = 0) -> list[int]:
     increasing with ``bisect_left``, non-decreasing with ``bisect_right``.
 
     values may be any iterable.  With stop > 0 reading ends as soon as a run
-    has stop values, and that run is returned."""
+    has stop values, and that run is returned: from the end back, the last
+    index at each level (a best run's length there, less one)."""
     tails: list = []               # value at the end of the best run per length
-    tail_idx: list[int] = []
-    prev: list[int] = []
-    for i, v in enumerate(values):
+    levels: list[int] = []
+    top = 0
+    for v in values:
         pos = find(tails, v)
-        prev.append(tail_idx[pos - 1] if pos else -1)
-        if pos == len(tails):
+        levels.append(pos)
+        if pos == top:
             tails.append(v)
-            tail_idx.append(i)
-            if pos + 1 == stop:
+            top += 1
+            if top == stop:
                 break
         else:
             tails[pos] = v
-            tail_idx[pos] = i
+    levels.reverse()               # latest value first
     out = []
-    i = tail_idx[-1] if tail_idx else -1
-    while i >= 0:
-        out.append(i)
-        i = prev[i]
+    j = 0
+    for level in range(top - 1, -1, -1):
+        j = levels.index(level, j)
+        out.append(len(levels) - 1 - j)
     return out[::-1]
 
 
@@ -136,7 +137,7 @@ def homogeneous_pairs(values, coloring: str = "increasing_pairs") -> Homogeneous
     if coloring != "increasing_pairs":
         raise ValueError(f"unknown coloring {coloring!r}")
     inc = _longest_run(values, bisect_left)
-    dec = _longest_run([-v for v in values], bisect_right)  # non-increasing
+    dec = _longest_run((-v for v in values), bisect_right)  # non-increasing
     if len(inc) >= len(dec):
         result = HomogeneousResult(tuple(inc), KIND_STRICTLY_INCREASING)
     elif len({values[i] for i in dec}) == 1:
@@ -173,23 +174,22 @@ def constant_or_increasing(stream, target: int, fuel: int) -> HomogeneousResult 
     if fuel < target:
         raise ValueError("fuel must be at least the target size")
     values: list = []
-    positions: dict[int, list[int]] = {}
-    constant: list[HomogeneousResult] = []
+    counts: dict[int, int] = {}
 
     def unrepeated():
         """The values read, until one of them occurs target times."""
-        for i, v in enumerate(islice(stream, fuel)):
+        for v in islice(stream, fuel):
             values.append(v)
-            bucket = positions.setdefault(v, [])
-            bucket.append(i)
-            if len(bucket) == target:
-                constant.append(HomogeneousResult(tuple(bucket), KIND_CONSTANT, v))
+            counts[v] = seen = counts.get(v, 0) + 1
+            if seen == target:
                 return
             yield v
 
     run = _longest_run(unrepeated(), bisect_left, target)
-    if constant:
-        result = constant[0]
+    if values and counts[values[-1]] == target:    # reading stopped on a repeat
+        value = values[-1]
+        picked = tuple(i for i, v in enumerate(values) if v == value)
+        result = HomogeneousResult(picked, KIND_CONSTANT, value)
     elif len(run) == target:
         result = HomogeneousResult(tuple(run), KIND_STRICTLY_INCREASING)
     else:

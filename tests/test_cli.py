@@ -277,6 +277,52 @@ def test_ramsey_not_found_exit_code():
     assert json.loads(proc.stdout) == {"found": False}
 
 
+# Drawn once from random.Random(25), values 0..5: the two longest runs tie
+# at 6, and many runs of each length end on repeated values.
+TIED = "3 0 1 2 5 3 0 2 0 2 4 3 0 4 0 4 5 5 1 4"
+DESCENT = "4 4 3 3 3 2 2 1 3"
+
+
+@pytest.mark.parametrize("args,stdin,code,stdout", [
+    (("--mode", "pairs", "--coloring", "increasing"), TIED, 0,
+     '{"found":true,"indices":[1,2,9,11,15,17],"kind":"strictly_increasing","size":6}'),
+    (("--mode", "pairs", "--coloring", "distinct"), TIED, 0,
+     '{"found":true,"indices":[0,1,2,3,4,10],"kind":"injective","size":6}'),
+    (("--mode", "pairs", "--coloring", "increasing", "--k", "7"), TIED, 1,
+     '{"found":true,"indices":[1,2,9,11,15,17],"kind":"strictly_increasing","size":6}'),
+    (("--mode", "injective"), TIED, 0,
+     '{"found":true,"indices":[1,6,8,12,14],"kind":"constant","size":5,"value":0}'),
+    (("--mode", "injective", "--k", "6"), TIED, 1,
+     '{"found":true,"indices":[1,6,8,12,14],"kind":"constant","size":5,"value":0}'),
+    (("--mode", "increasing", "--k", "3", "--fuel", "20"), TIED, 0,
+     '{"found":true,"indices":[1,2,3],"kind":"strictly_increasing","size":3}'),
+    (("--mode", "increasing", "--k", "5", "--fuel", "20", "--coloring", "distinct"), TIED, 0,
+     '{"found":true,"indices":[1,2,3,5,10],"kind":"strictly_increasing","size":5}'),
+    (("--mode", "increasing", "--k", "7", "--fuel", "20"), TIED, 1, '{"found":false}'),
+    (("--mode", "pairs", "--coloring", "increasing"), DESCENT, 0,
+     '{"found":true,"indices":[0,1,2,3,4,5,6,7],"kind":"non_increasing","size":8}'),
+    (("--mode", "pairs", "--coloring", "distinct"), DESCENT, 0,
+     '{"found":true,"indices":[0,2,5,7],"kind":"injective","size":4}'),
+    (("--mode", "injective"), DESCENT, 0,
+     '{"found":true,"indices":[2,3,4,8],"kind":"constant","size":4,"value":3}'),
+    (("--mode", "increasing", "--k", "3", "--fuel", "9"), DESCENT, 0,
+     '{"found":true,"indices":[2,3,4],"kind":"constant","size":3,"value":3}'),
+], ids=["pairs-increasing", "pairs-distinct", "pairs-below-k", "injective", "injective-below-k",
+        "increasing-k3", "increasing-k5", "increasing-no-fuel", "descent-pairs-increasing",
+        "descent-pairs-distinct", "descent-injective", "descent-increasing"])
+def test_ramsey_golden_output(args, stdin, code, stdout):
+    """Exact stdout and exit code, including which run wins a tie."""
+    proc = run_cli("ramsey", *args, stdin=stdin)
+    assert (proc.returncode, proc.stdout) == (code, stdout.encode() + b"\n")
+
+
+def test_ramsey_bad_token_is_usage_error():
+    proc = run_cli("ramsey", "--mode", "increasing", "--k", "2", "--fuel", "3",
+                   stdin="1 2 3 4 x")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ")
+
+
 def test_failed_self_check_is_internal_error(tmp_path, monkeypatch, capsys):
     import revtop.ramsey
     from revtop.cli import main

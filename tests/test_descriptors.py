@@ -36,6 +36,7 @@ from revtop.descriptors import (
     word_lcp,
     z_descriptor_from_json,
 )
+from revtop.symbolic import image_descriptor
 
 WINDOW = range(0, 130)
 
@@ -287,6 +288,36 @@ def test_json_round_trips():
         assert z_descriptor_from_json(descriptor_to_json(d)) == d
     assert descriptor_to_json(BranchSet(Word("01", "1"))) == {
         "tag": "branch", "word": {"prefix": "0", "period": "1"}}
+
+
+def test_normal_form_json_round_trip():
+    """A computed image writes out and reads back as the same normal form."""
+    x = image_descriptor(FinSupportPerm.swap(0, 1), CofiniteSet((0,)))
+    data = descriptor_to_json(x)
+    assert data == {"tag": "normal", "complemented": True, "words": [], "plus": [1], "minus": []}
+    assert omega_descriptor_from_json(data) == x
+    star = descriptor_to_json(OmegaStarSet(x, star=True))
+    assert omega_descriptor_from_json(star) == OmegaStarSet(x, star=True)
+
+
+@given(descriptors())
+@settings(max_examples=300, deadline=None)
+def test_normal_forms_round_trip_through_json(d):
+    x = nf(d)
+    assert omega_descriptor_from_json(descriptor_to_json(x)) == x
+
+
+@pytest.mark.parametrize("words,plus,minus", [
+    ([{"prefix": "", "period": "1"}, {"prefix": "", "period": "0"}], [], []),  # unsorted
+    ([{"prefix": "", "period": "0"}, {"prefix": "", "period": "0"}], [], []),  # repeated
+    ([{"prefix": "", "period": "0"}], [4], []),   # 4 = code of "00", inside the branch
+    ([{"prefix": "", "period": "0"}], [], [5]),   # 5 = code of "01", outside it
+    ([], [], [3]),                                # no words, so nothing to remove from
+])
+def test_normal_form_reader_refuses_other_forms(words, plus, minus):
+    data = {"tag": "normal", "complemented": False, "words": words, "plus": plus, "minus": minus}
+    with pytest.raises(UnsupportedDescriptorError):
+        omega_descriptor_from_json(data)
 
 
 def test_withstar_round_trips():

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from bisect import bisect_left, bisect_right
 from itertools import combinations, count, product, repeat
 
 import pytest
@@ -13,6 +14,7 @@ from revtop.ramsey import (
     KIND_NON_INCREASING,
     KIND_STRICTLY_INCREASING,
     HomogeneousResult,
+    _longest_run,
     constant_or_increasing,
     constant_or_injective,
     homogeneous_pairs,
@@ -93,6 +95,48 @@ def test_pairs_distinct_on_many_distinct_values():
     res = homogeneous_pairs(values, "distinct_pairs")
     assert res.kind == KIND_INJECTIVE
     assert res.indices == tuple(range(len(values)))
+
+
+def _back_pointer_run(values, find, stop=0):
+    """Reference patience sort that keeps, for each value, the index ending
+    the best run one shorter at the time it is read, and follows those
+    pointers back from the index ending the longest run."""
+    tails, tail_idx, prev = [], [], []
+    for i, v in enumerate(values):
+        pos = find(tails, v)
+        prev.append(tail_idx[pos - 1] if pos else -1)
+        if pos == len(tails):
+            tails.append(v)
+            tail_idx.append(i)
+            if pos + 1 == stop:
+                break
+        else:
+            tails[pos] = v
+            tail_idx[pos] = i
+    out = []
+    i = tail_idx[-1] if tail_idx else -1
+    while i >= 0:
+        out.append(i)
+        i = prev[i]
+    return out[::-1]
+
+
+def test_longest_run_picks_the_back_pointer_run():
+    """Among equal-length runs the core returns the one the back pointers
+    give, for both comparisons and with reading stopped early."""
+    rng = random.Random(11)
+    cases = [[], [5], [3, 2.5, 2.7, 2.2], [2.5, 2.5, 1.0, 2.5, 3.75, 1.0]]
+    for _ in range(300):
+        n = rng.randrange(1, 60)
+        cases.append([rng.randrange(rng.choice((2, 4, 8))) for _ in range(n)])
+        cases.append([rng.randrange(6) / 4 for _ in range(n)])
+    for values in cases:
+        for seq in (values, [-v for v in values]):
+            for find in (bisect_left, bisect_right):
+                for stop in (0, 1, 2, 3, 5):
+                    want = _back_pointer_run(seq, find, stop)
+                    assert _longest_run(seq, find, stop) == want, (seq, find, stop)
+                    assert _longest_run(iter(seq), find, stop) == want
 
 
 def test_constant_or_injective_examples():
