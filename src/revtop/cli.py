@@ -180,12 +180,12 @@ def cmd_ostar(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
+    # the text and its tokens are freed once parsed, before the extraction
     if args.input and args.input != "-":
         with open(args.input) as handle:
-            tokens = handle.read().split()
+            values = [int(tok) for tok in handle.read().split()]
     else:
-        tokens = sys.stdin.read().split()
-    values = [int(tok) for tok in tokens]
+        values = [int(tok) for tok in sys.stdin.read().split()]
     if args.mode == "pairs":
         coloring = ("increasing_pairs" if args.coloring == "increasing"
                     else "distinct_pairs")

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import heapq
 import operator
+# Dataclasses, not named tuples as in the finite layer: tuple equality ignores
+# the type, so FiniteSet((1, 2)) would equal CofiniteSet((1, 2)) and the two
+# would share one entry of the nf cache.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm

@@ -15,7 +15,6 @@ n = 0..5, OEIS A000798).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .topology import (
@@ -200,14 +199,16 @@ def enumerate_topologies_via_preorders(n: int) -> tuple[FiniteTopology, ...]:
     return computed_topologies(n, sorted(tuple(sorted(opens)) for _, opens in _preorders(n)))
 
 
-@dataclass(frozen=True)
 class TopologyCatalog:
     """All topologies on n points plus their homeomorphism-orbit partition."""
 
-    n: int
-    topologies: tuple[FiniteTopology, ...]
-    orbit_reps: tuple[FiniteTopology, ...]
-    orbits: dict[FiniteTopology, tuple[FiniteTopology, ...]] = field(repr=False)
+    def __init__(self, n: int, topologies: tuple[FiniteTopology, ...],
+                 orbit_reps: tuple[FiniteTopology, ...],
+                 orbits: dict[FiniteTopology, tuple[FiniteTopology, ...]]):
+        self.n = n
+        self.topologies = topologies
+        self.orbit_reps = orbit_reps
+        self.orbits = orbits
 
     def __len__(self) -> int:
         return len(self.topologies)

@@ -11,7 +11,7 @@ walk only the bijections that preserve the specialization preorder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from operator import attrgetter, itemgetter
 
@@ -272,8 +272,8 @@ def _covers(up) -> list[int]:
     return covers
 
 
-@dataclass(frozen=True)
-class CondOrderDigraph:
+class CondOrderDigraph(namedtuple("CondOrderDigraph",
+                                  ("n", "nodes", "orbit_sizes", "up", "hasse"))):
     """The condensational order on equivalence classes of topologies.
 
     Nodes are the catalog's orbit representatives: every finite space is
@@ -282,11 +282,7 @@ class CondOrderDigraph:
     node i <= node j) and hasse its transitive reduction.
     """
 
-    n: int
-    nodes: tuple[FiniteTopology, ...]
-    orbit_sizes: tuple[int, ...]
-    up: tuple[int, ...]
-    hasse: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def to_dot(self) -> str:
         lines = ["digraph condensational_order {"]

@@ -12,8 +12,7 @@ the documented floor(log2 N) bound.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import islice
 from math import isqrt
 
@@ -25,13 +24,12 @@ KIND_INJECTIVE = "injective"
 KIND_NON_INCREASING = "non_increasing"
 
 
-@dataclass(frozen=True)
-class HomogeneousResult:
-    """A verified homogeneous index set with its witnessed kind."""
+class HomogeneousResult(namedtuple("HomogeneousResult", ("indices", "kind", "value"),
+                                   defaults=(None,))):
+    """A verified homogeneous index set (a tuple of ints) with its witnessed
+    kind, and value, the repeated value for the constant kind (else None)."""
 
-    indices: tuple[int, ...]
-    kind: str
-    value: int | None = None  # the repeated value for the constant kind
+    __slots__ = ()
 
     def to_json(self) -> dict:
         data = {"indices": list(self.indices), "kind": self.kind}

@@ -17,7 +17,7 @@ the reference the orbit-first suites are compared against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .enumeration import TopologyCatalog, catalog, enumerate_topologies_by_closure
 from .order import (
@@ -35,12 +35,9 @@ from .order import (
 from .topology import FiniteTopology
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    agreed: int
-    total: int
-    detail: str = ""
+class SuiteResult(namedtuple("SuiteResult", ("name", "agreed", "total", "detail"),
+                             defaults=("",))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,7 @@ coincides with equality of the topologies they denote.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations as _all_perms
 from operator import itemgetter
@@ -79,29 +79,36 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-@dataclass(frozen=True, order=True)
-class FiniteTopology:
+class FiniteTopology(namedtuple("FiniteTopology", ("n", "opens"))):
     """A topology as the strictly sorted tuple of its open sets (bit masks).
 
     The constructor enforces every invariant: masks in range and strictly
     sorted, the empty and full sets present, and closure under union and
     intersection (a failure names the first offending pair as its witness).
+    A value is the tuple ``(n, opens)``: it hashes, compares and orders as
+    that tuple, and equals it.  Every route that builds one (``_make``,
+    ``_replace``, copy and pickle) goes through the constructor.
     """
 
-    n: int
-    opens: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, ops = self.n, self.opens
+    def __new__(cls, n: int, opens: tuple[int, ...]):
         if n < 0:
             raise TopologyError("negative ground size")
         fast = n <= HARD_POINT_CAP
-        if not (fast and ops and list(ops) == sorted(ops) and ops[0] == 0
-                and ops[-1] == full_mask(n) and _is_topology(n, ops)):
-            _check_pairwise(n, ops)
+        if not (fast and opens and list(opens) == sorted(opens) and opens[0] == 0
+                and opens[-1] == full_mask(n) and _is_topology(n, opens)):
+            _check_pairwise(n, opens)
             if fast:
                 raise AssertionError(f"the bitset check refused the topology "
-                                     f"{list(ops)} on {n} points")
+                                     f"{list(opens)} on {n} points")
+        return tuple.__new__(cls, (n, opens))
+
+    @classmethod
+    def _make(cls, iterable) -> "FiniteTopology":
+        # namedtuple's _make builds through tuple.__new__, and its _replace
+        # builds through _make
+        return cls(*iterable)
 
     @property
     def full(self) -> int:

@@ -1,4 +1,5 @@
 import json
+import os
 import stat
 from hashlib import sha256
 import subprocess
@@ -23,6 +24,22 @@ def test_parser_leaves_the_countable_layer_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
+
+
+def test_parser_imports_no_dataclasses():
+    """Site packages play no part: python -S, with src put on sys.path by hand."""
+    import revtop
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revtop.__file__)))
+    code = ("import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import revtop.cli\n"
+            "revtop.cli.build_parser()\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+            "import revtop.symbolic\n"
+            "print('dataclasses' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\nTrue\n"
 
 
 def test_enum_summary():
@@ -320,7 +337,15 @@ def test_ramsey_bad_token_is_usage_error():
     proc = run_cli("ramsey", "--mode", "increasing", "--k", "2", "--fuel", "3",
                    stdin="1 2 3 4 x")
     assert proc.returncode == 2 and proc.stdout == b""
-    assert proc.stderr.startswith(b"error: ")
+    assert proc.stderr == b"error: invalid literal for int() with base 10: 'x'\n"
+
+
+def test_ramsey_bad_token_in_file_is_usage_error(tmp_path):
+    source = tmp_path / "vals.txt"
+    source.write_text("3 1\n2 0x7\n")
+    proc = run_cli("ramsey", "--mode", "pairs", str(source))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: invalid literal for int() with base 10: '0x7'\n"
 
 
 def test_failed_self_check_is_internal_error(tmp_path, monkeypatch, capsys):

@@ -26,6 +26,7 @@ from revtop.topology import (
     FiniteTopology,
     TopologyError,
     mask_tables,
+    opens_bitset,
     validate_topology,
 )
 
@@ -141,6 +142,16 @@ def test_extreme_preorders():
     assert topology_of_preorder(discrete_order) == FiniteTopology(2, (0, 1, 2, 3))
     total = (0b11, 0b11)
     assert topology_of_preorder(total) == FiniteTopology(2, (0, 3))
+
+
+def test_by_open_count_is_built_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(enumeration, "opens_bitset",
+                        lambda t: calls.append(t) or opens_bitset(t))
+    cat = enumerate_topologies(3)
+    groups = cat.by_open_count
+    assert len(calls) == len(cat) == 29
+    assert cat.by_open_count is groups and len(calls) == 29
 
 
 def test_orbit_partition(cat3, cat4):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import subprocess
 import sys
 from functools import reduce
@@ -122,6 +124,40 @@ def test_constructor_check_survives_optimisation():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "(1, 2)\n"
+
+
+def test_value_is_the_tuple_of_n_and_opens():
+    assert SIERP == (2, (0, 1, 3)) and hash(SIERP) == hash((2, (0, 1, 3)))
+    assert SIERP < SIERP_FLIP < FiniteTopology(3, (0, 7))
+    assert sorted([SIERP_FLIP, SIERP]) == [SIERP, SIERP_FLIP]
+    assert repr(FiniteTopology(2, (0, 3))) == "FiniteTopology(n=2, opens=(0, 3))"
+    assert (SIERP.n, SIERP.opens, SIERP.full) == (2, (0, 1, 3), 3)
+    with pytest.raises(AttributeError):
+        SIERP.n = 3
+
+
+# Routes that build a topology without calling FiniteTopology directly.  The
+# copy and pickle routes start from a value made with tuple.__new__, which
+# skips the check, and must refuse to rebuild an invalid one.  INVALID is a
+# family on 2 points that lacks the full set.
+INVALID = (2, (0, 1))
+ROUTES = {
+    "_make": lambda n, opens: FiniteTopology._make((n, opens)),
+    "_replace": lambda n, opens: FiniteTopology(n, (0, (1 << n) - 1))._replace(opens=opens),
+    "copy": lambda n, opens: copy.copy(tuple.__new__(FiniteTopology, (n, opens))),
+    "deepcopy": lambda n, opens: copy.deepcopy(tuple.__new__(FiniteTopology, (n, opens))),
+    "pickle": lambda n, opens: pickle.loads(pickle.dumps(tuple.__new__(FiniteTopology,
+                                                                       (n, opens)))),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_construction_route_validates(route):
+    build = ROUTES[route]
+    with pytest.raises(TopologyError):
+        build(*INVALID)
+    value = build(2, (0, 1, 3))
+    assert type(value) is FiniteTopology and value == SIERP
 
 
 def test_validate_missing_sets():
