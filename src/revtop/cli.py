@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-import tempfile
 from collections.abc import Iterable
 
 from . import ramsey as ramsey_mod
@@ -36,6 +35,7 @@ def _emit(chunks: Iterable[str], path: str | None) -> None:
     if path is None:
         sys.stdout.writelines(chunks)
         return
+    import tempfile  # loaded only to write a file: it imports shutil, bz2 and lzma
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".revtop-")
     try:

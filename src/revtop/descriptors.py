@@ -14,10 +14,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-# Dataclasses, not named tuples as in the finite layer: tuple equality ignores
-# the type, so FiniteSet((1, 2)) would equal CofiniteSet((1, 2)) and the two
-# would share one entry of the nf cache.
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 
@@ -46,36 +43,62 @@ STAR = _Point("star")  # the added limit point of the convergent-sequence ground
 Z_FIRST = _Point("z")  # the first element adjoined below the integer line
 
 
+class TypedValue:
+    """Mixin for the named-tuple values of the countable layer.
+
+    Two values are equal only when they have the same type and equal
+    fields, so FiniteSet((1, 2)) != CofiniteSet((1, 2)) and the two keep
+    separate entries of the nf cache.  A value hashes as the tuple of its
+    fields.  Every route that builds a value (``_make``, ``_replace``, copy
+    and pickle) goes through the constructor.  Put it first among the bases,
+    before the namedtuple, so that its methods win.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        # explicit: tuple.__ne__ would otherwise answer, ignoring the type
+        return type(self) is not type(other) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make builds through tuple.__new__, and its _replace
+        # builds through _make
+        return cls(*iterable)
+
+
 # ---------------------------------------------------------------------------
 # eventually periodic binary words and branch coding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Word:
+class Word(TypedValue, namedtuple("Word", ("prefix", "period"))):
     """An eventually periodic infinite binary word, stored canonically.
 
     The canonical form has a primitive period and a minimal preperiod, so
     two Words are equal as values iff they denote the same infinite word.
     """
 
-    prefix: str
-    period: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.period or set(self.prefix + self.period) - {"0", "1"}:
+    def __new__(cls, prefix: str, period: str):
+        if not period or set(prefix + period) - {"0", "1"}:
             raise UnsupportedDescriptorError(
-                f"word needs a nonempty 0/1 period, got {self.prefix!r}+{self.period!r}")
-        per = self.period
+                f"word needs a nonempty 0/1 period, got {prefix!r}+{period!r}")
+        per = period
         for d in range(1, len(per) + 1):
             if len(per) % d == 0 and per[:d] * (len(per) // d) == per:
                 per = per[:d]
                 break
-        pre = self.prefix
+        pre = prefix
         while pre and pre[-1] == per[-1]:
             per = per[-1] + per[:-1]
             pre = pre[:-1]
-        object.__setattr__(self, "prefix", pre)
-        object.__setattr__(self, "period", per)
+        return tuple.__new__(cls, (pre, per))
 
     def at(self, i: int) -> str:
         if i < len(self.prefix):
@@ -150,43 +173,46 @@ class SetDescriptor:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FiniteSet(SetDescriptor):
-    elements: tuple[int, ...]
+class FiniteSet(TypedValue, namedtuple("FiniteSet", ("elements",)), SetDescriptor):
+    """The listed naturals; elements is stored sorted and without repeats."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+    __slots__ = ()
 
-
-@dataclass(frozen=True)
-class CofiniteSet(SetDescriptor):
-    excluded: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "excluded", tuple(sorted(set(self.excluded))))
+    def __new__(cls, elements: tuple[int, ...]):
+        return tuple.__new__(cls, (tuple(sorted(set(elements))),))
 
 
-@dataclass(frozen=True)
-class BranchSet(SetDescriptor):
-    """{code(w restricted to length l) : l >= 1} for an infinite word w."""
+class CofiniteSet(TypedValue, namedtuple("CofiniteSet", ("excluded",)), SetDescriptor):
+    """All naturals but the excluded ones, stored sorted and without repeats."""
 
-    word: Word
+    __slots__ = ()
 
-
-@dataclass(frozen=True)
-class UnionSet(SetDescriptor):
-    parts: tuple[SetDescriptor, ...]
+    def __new__(cls, excluded: tuple[int, ...]):
+        return tuple.__new__(cls, (tuple(sorted(set(excluded))),))
 
 
-@dataclass(frozen=True)
-class IntersectionSet(SetDescriptor):
-    parts: tuple[SetDescriptor, ...]
+class BranchSet(TypedValue, namedtuple("BranchSet", ("word",)), SetDescriptor):
+    """{code(w restricted to length l) : l >= 1} for an infinite Word w."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DifferenceSet(SetDescriptor):
-    left: SetDescriptor
-    right: SetDescriptor
+class UnionSet(TypedValue, namedtuple("UnionSet", ("parts",)), SetDescriptor):
+    """The union of a tuple of descriptors."""
+
+    __slots__ = ()
+
+
+class IntersectionSet(TypedValue, namedtuple("IntersectionSet", ("parts",)), SetDescriptor):
+    """The intersection of a tuple of descriptors; of none, all naturals."""
+
+    __slots__ = ()
+
+
+class DifferenceSet(TypedValue, namedtuple("DifferenceSet", ("left", "right")), SetDescriptor):
+    """The descriptor left minus the descriptor right."""
+
+    __slots__ = ()
 
 
 OMEGA_SET = CofiniteSet(())
@@ -197,22 +223,20 @@ OMEGA_SET = CofiniteSet(())
 # or the complement of such a core
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalForm(SetDescriptor):
+class NormalForm(TypedValue, namedtuple("NormalForm", ("complemented", "words", "plus", "minus")),
+                 SetDescriptor):
     """Canonical form of a describable subset of the naturals.
 
-    The core is the union of the branch sets of `words`, plus the points
-    `plus`, minus the points `minus`; `plus` lies outside the branch region
-    and `minus` inside it, and `words` is sorted.  The set is the core, or
-    its complement when `complemented` is true.  With no words the set is
-    finite (`plus`) or cofinite (everything except `plus`).  A normal form
-    is itself a descriptor, the one that `nf` returns unchanged.
+    The core is the union of the branch sets of `words` (a tuple of Words),
+    plus the points `plus`, minus the points `minus` (frozensets of ints);
+    `plus` lies outside the branch region and `minus` inside it, and `words`
+    is sorted.  The set is the core, or its complement when the bool
+    `complemented` is true.  With no words the set is finite (`plus`) or
+    cofinite (everything except `plus`).  A normal form is itself a
+    descriptor, the one that `nf` returns unchanged.
     """
 
-    complemented: bool
-    words: tuple[Word, ...]
-    plus: frozenset[int]
-    minus: frozenset[int]
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -359,40 +383,35 @@ class ZDescriptor:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EmptyZ(ZDescriptor):
-    pass
+class EmptyZ(TypedValue, namedtuple("EmptyZ", ()), ZDescriptor):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AllZ(ZDescriptor):
-    pass
+class AllZ(TypedValue, namedtuple("AllZ", ()), ZDescriptor):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClosedLeftZ(ZDescriptor):
+class ClosedLeftZ(TypedValue, namedtuple("ClosedLeftZ", ("a",)), ZDescriptor):
     """The half-open initial segment [z, a): z together with all x < a."""
 
-    a: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OpenLeftZ(ZDescriptor):
+class OpenLeftZ(TypedValue, namedtuple("OpenLeftZ", ("b",)), ZDescriptor):
     """The open initial segment (z, b): all integers x < b, without z."""
 
-    b: int
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # subsets of the convergent-sequence ground set (naturals plus a limit point)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaStarSet:
-    """A subset of the naturals-with-limit-point ground set."""
+class OmegaStarSet(TypedValue, namedtuple("OmegaStarSet", ("omega", "star"), defaults=(False,))):
+    """A subset of the naturals-with-limit-point ground set: the descriptor
+    omega over the naturals, with the limit point iff the bool star."""
 
-    omega: SetDescriptor
-    star: bool = False
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +424,22 @@ class SymbolicMap:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FinSupportPerm(SymbolicMap):
-    """A permutation of the naturals moving only finitely many points."""
+class FinSupportPerm(TypedValue, namedtuple("FinSupportPerm", ("pairs",)), SymbolicMap):
+    """A permutation of the naturals moving only finitely many points.
 
-    pairs: tuple[tuple[int, int], ...]
+    pairs lists (point, image) for the moved points, sorted.
+    """
 
-    def __post_init__(self):
-        moved = tuple(sorted((k, v) for k, v in self.pairs if k != v))
+    __slots__ = ()
+
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]):
+        moved = tuple(sorted((k, v) for k, v in pairs if k != v))
         keys = [k for k, _ in moved]
         vals = sorted(v for _, v in moved)
         if len(set(keys)) != len(keys) or vals != keys:
             raise UnsupportedDescriptorError(
-                f"not a finite-support permutation: {self.pairs!r}")
-        object.__setattr__(self, "pairs", moved)
+                f"not a finite-support permutation: {pairs!r}")
+        return tuple.__new__(cls, (moved,))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -437,11 +458,10 @@ class FinSupportPerm(SymbolicMap):
         return FinSupportPerm(((i, j), (j, i)))
 
 
-@dataclass(frozen=True)
-class ShiftZ(SymbolicMap):
+class ShiftZ(TypedValue, namedtuple("ShiftZ", ("k",)), SymbolicMap):
     """Translation by k on the integers, fixing the first element z."""
 
-    k: int
+    __slots__ = ()
 
     def apply(self, p):
         if p is Z_FIRST:

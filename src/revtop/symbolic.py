@@ -10,7 +10,7 @@ or raises UnsupportedDescriptorError at the fragment boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .descriptors import (
     STAR,
@@ -26,6 +26,7 @@ from .descriptors import (
     SetDescriptor,
     ShiftZ,
     SymbolicMap,
+    TypedValue,
     UnsupportedDescriptorError,
     Word,
     ZDescriptor,
@@ -50,57 +51,61 @@ class NoBetaAvailableError(ValueError):
 # the symbolic topologies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscreteOmega:
+class DiscreteOmega(TypedValue, namedtuple("DiscreteOmega", ())):
     """Every subset of the naturals is open."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class AntidiscreteOmega:
+
+class AntidiscreteOmega(TypedValue, namedtuple("AntidiscreteOmega", ())):
     """Only the empty set and the whole ground set are open."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CoSmall:
+
+class CoSmall(TypedValue, namedtuple("CoSmall", ())):
     """Opens are the empty set and all cofinite sets (the countable instance
     of the complements-of-small-sets family, small meaning finite)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class OrderedZ:
+
+class OrderedZ(TypedValue, namedtuple("OrderedZ", ("c",), defaults=(0,))):
     """The initial-segment topology on {z} + the integers.
 
     Opens: the empty set, the whole line, every segment [z, a), and the
     segments (z, b) for b up to the cutoff c.
     """
 
-    c: int = 0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConvSeq:
+class ConvSeq(TypedValue, namedtuple("ConvSeq", ())):
     """The convergent-sequence space: naturals plus a limit point.
 
     Every subset of the naturals is open; a set containing the limit point
     is open iff its natural part is cofinite.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ADFamily:
+
+class ADFamily(TypedValue, namedtuple("ADFamily", ("members",))):
     """A finite almost-disjoint family of branch sets.
 
     Two distinct branch sets meet in exactly the codes of the shared
     prefixes of their words, so all pairwise intersections are finite.
     Maximality is not claimed and is unattainable for finite families.
+    The length of a family is its number of members.
     """
 
-    members: tuple[BranchSet, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        words = [m.word for m in self.members]
+    def __new__(cls, members: tuple[BranchSet, ...]):
+        words = [m.word for m in members]
         if len(set(words)) != len(words):
             raise UnsupportedDescriptorError("family words must be pairwise distinct")
+        return tuple.__new__(cls, (members,))
 
     def __len__(self):
         return len(self.members)
@@ -123,16 +128,15 @@ def ad_family(k: int) -> ADFamily:
     return ADFamily(tuple(BranchSet(Word("", "0" * i + "1")) for i in range(k)))
 
 
-@dataclass(frozen=True)
-class Refined:
+class Refined(TypedValue, namedtuple("Refined", ("family",))):
     """The convergent-sequence space refined by removing an almost-disjoint
-    family from the neighborhoods of the limit point.
+    family (an ADFamily) from the neighborhoods of the limit point.
 
     Basis: O minus a finite union of family members, O open in the base
     space.  Every base open stays open; each family member becomes closed.
     """
 
-    family: ADFamily
+    __slots__ = ()
 
 
 _OMEGA_GROUND = (DiscreteOmega, AntidiscreteOmega, CoSmall)
@@ -206,19 +210,17 @@ def _normal(d):
     return nf(d)
 
 
-@dataclass(frozen=True)
-class SymbolicImage:
+class SymbolicImage(TypedValue, namedtuple("SymbolicImage",
+                                           ("map", "source", "topology", "obligations"))):
     """Image topology under a symbolic bijection, with its proof obligations.
 
-    Each obligation is a (descriptor, expected image descriptor) pair;
-    verify() recomputes every image, compares normal forms and checks
-    openness transport.
+    map (a SymbolicMap) carries the topology source onto topology.  Each
+    obligation is a (descriptor, expected image descriptor) pair; verify()
+    recomputes every image, compares normal forms and checks openness
+    transport.
     """
 
-    map: SymbolicMap
-    source: object
-    topology: object
-    obligations: tuple[tuple[object, object], ...]
+    __slots__ = ()
 
     def verify(self) -> bool:
         for before, after in self.obligations:
@@ -271,19 +273,17 @@ def image_topology_symbolic(f: SymbolicMap, topology) -> SymbolicImage:
 # non-reversibility of the initial-segment topologies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonreversibilityWitness:
+class NonreversibilityWitness(TypedValue, namedtuple("NonreversibilityWitness",
+                                                     ("source", "map", "image", "separator"))):
     """A self-homeomorphic copy strictly above the topology.
 
-    The unit shift carries the topology onto the same schema with cutoff
-    raised by one; the separating segment is open in the image, not in the
-    source, so the image is a strictly finer homeomorphic copy.
+    The unit shift (a ShiftZ map) carries the OrderedZ source onto the same
+    schema with cutoff raised by one (image); the separating segment (an
+    OpenLeftZ) is open in the image, not in the source, so the image is a
+    strictly finer homeomorphic copy.
     """
 
-    source: OrderedZ
-    map: ShiftZ
-    image: OrderedZ
-    separator: OpenLeftZ
+    __slots__ = ()
 
     def verify(self) -> bool:
         schema = image_topology_symbolic(self.map, self.source)
@@ -347,20 +347,18 @@ def f_m_closed_check(m_descriptor: SetDescriptor, topology: ConvSeq | None = Non
     return member_open(complement, topology)
 
 
-@dataclass(frozen=True)
-class ClosureWitness:
+class ClosureWitness(TypedValue, namedtuple("ClosureWitness",
+                                            ("family", "blocked", "neighborhood", "beta",
+                                             "element"))):
     """A point of the probed set inside one basic neighborhood of the limit.
 
     The witness element lies in the family member indexed by beta, escapes
-    every blocked member, and survives the cofinite restriction, so the
-    neighborhood meets the set of all naturals.
+    every blocked member (a tuple of indices), and survives the cofinite
+    restriction of the OmegaStarSet neighborhood, so the neighborhood meets
+    the set of all naturals.
     """
 
-    family: ADFamily
-    blocked: tuple[int, ...]
-    neighborhood: OmegaStarSet
-    beta: int
-    element: int
+    __slots__ = ()
 
     def verify(self) -> bool:
         if self.beta in self.blocked:
@@ -407,19 +405,19 @@ def star_in_closure_check(family: ADFamily, blocked, neighborhood: OmegaStarSet)
     raise AssertionError("a cofinite neighborhood keeps a code past the blocked depth")
 
 
-@dataclass(frozen=True)
-class BlockingCertificate:
+class BlockingCertificate(TypedValue, namedtuple("BlockingCertificate",
+                                                 ("candidate", "index", "word",
+                                                  "intersection_prefix"))):
     """A family member meeting the candidate set infinitely often.
 
-    The complement of that member is then a refined neighborhood of the
-    limit point which the candidate enters infinitely often, so no sequence
-    running inside the candidate converges to the limit point.
+    The member is given by its index and Word; intersection_prefix lists the
+    first points of its overlap with the candidate.  The complement of that
+    member is then a refined neighborhood of the limit point which the
+    candidate enters infinitely often, so no sequence running inside the
+    candidate converges to the limit point.
     """
 
-    candidate: SetDescriptor
-    index: int
-    word: Word
-    intersection_prefix: tuple[int, ...]
+    __slots__ = ()
 
     def verify(self) -> bool:
         x = nf(self.candidate)
@@ -466,24 +464,23 @@ def blocking_nbhd(candidate: SetDescriptor, family: ADFamily) -> BlockingCertifi
 # sequences and convergence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantTail:
-    value: object  # a natural number or the limit point
+class ConstantTail(TypedValue, namedtuple("ConstantTail", ("value",))):
+    """The tail repeats value, a natural number or the limit point."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EnumerationTail:
+class EnumerationTail(TypedValue, namedtuple("EnumerationTail", ("descriptor",))):
     """The tail enumerates an infinite descriptor in increasing order."""
 
-    descriptor: SetDescriptor
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EventualSequence:
-    """A sequence given by an explicit prefix and an eventually-described tail."""
+class EventualSequence(TypedValue, namedtuple("EventualSequence", ("prefix", "tail"))):
+    """A sequence given by an explicit prefix (a tuple) and an
+    eventually-described tail (a ConstantTail or an EnumerationTail)."""
 
-    prefix: tuple
-    tail: ConstantTail | EnumerationTail
+    __slots__ = ()
 
 
 def _tail_nf(seq: EventualSequence) -> NormalForm:

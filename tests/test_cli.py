@@ -27,19 +27,21 @@ def test_parser_leaves_the_countable_layer_unloaded():
 
 
 def test_parser_imports_no_dataclasses():
-    """Site packages play no part: python -S, with src put on sys.path by hand."""
+    """Neither the parser nor the countable layer loads dataclasses (or the
+    inspect it imports), and tempfile waits for a file to write.  Site
+    packages play no part: python -S, with src put on sys.path by hand."""
     import revtop
     src = os.path.dirname(os.path.dirname(os.path.abspath(revtop.__file__)))
     code = ("import sys\n"
             f"sys.path.insert(0, {src!r})\n"
             "import revtop.cli\n"
             "revtop.cli.build_parser()\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'tempfile') if m in sys.modules))\n"
             "import revtop.symbolic\n"
-            "print('dataclasses' in sys.modules)\n")
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"[]\nTrue\n"
+    assert proc.stdout == b"[]\n[]\n"
 
 
 def test_enum_summary():

@@ -1,4 +1,6 @@
-import dataclasses
+import copy
+import itertools
+import pickle
 import random
 
 import pytest
@@ -187,9 +189,9 @@ def test_witness_translation_symmetry(c):
 def test_witness_with_a_wrong_image_or_map_fails(c):
     w = nonreversibility_witness(OrderedZ(c))
     assert w.verify()
-    assert not dataclasses.replace(w, image=OrderedZ(c + 2)).verify()
+    assert not w._replace(image=OrderedZ(c + 2)).verify()
     # a consistent downward shift: its image is coarser, not finer
-    assert not dataclasses.replace(w, map=ShiftZ(-1), image=OrderedZ(c - 1)).verify()
+    assert not w._replace(map=ShiftZ(-1), image=OrderedZ(c - 1)).verify()
 
 
 def test_increasing_chain_of_homeomorphic_copies():
@@ -423,13 +425,13 @@ def test_forged_closure_witnesses_are_rejected():
     w = star_in_closure_check(fam, (0, 1), OmegaStarSet(CofiniteSet((4,)), star=True))
     assert (w.beta, w.element) == (2, 9) and w.verify()
     # beta is blocked
-    assert not dataclasses.replace(w, blocked=(1, 2)).verify()
+    assert not w._replace(blocked=(1, 2)).verify()
     # the element is a code shared with a blocked word
-    assert not dataclasses.replace(w, element=2).verify()
+    assert not w._replace(element=2).verify()
     # the element is excluded by the neighborhood
-    assert not dataclasses.replace(w, element=4).verify()
+    assert not w._replace(element=4).verify()
     # the element is off beta's branch: 6 is the code of "10", on no member
-    assert not dataclasses.replace(w, element=6).verify()
+    assert not w._replace(element=6).verify()
 
 
 def test_blocking_certificates():
@@ -554,11 +556,11 @@ def test_forged_blocking_certificates_are_rejected():
     assert cert is not None and cert.index == 1 and cert.verify()
     # an index and word whose overlap with the candidate is finite
     for i in (0, 2, 3):
-        assert not dataclasses.replace(cert, index=i, word=fam.members[i].word).verify()
+        assert not cert._replace(index=i, word=fam.members[i].word).verify()
     # a prefix element outside the candidate, or outside the member
     prefix = cert.intersection_prefix
-    assert not dataclasses.replace(cert, intersection_prefix=(2,) + prefix[1:]).verify()
-    assert not dataclasses.replace(cert, intersection_prefix=prefix[:4] + (3,)).verify()
+    assert not cert._replace(intersection_prefix=(2,) + prefix[1:]).verify()
+    assert not cert._replace(intersection_prefix=prefix[:4] + (3,)).verify()
 
 
 def test_unique_limits():
@@ -573,3 +575,59 @@ def test_eventual_sequence_values():
     # the prefix, then the tail's descriptor in increasing order
     seq = EventualSequence((7, 4), EnumerationTail(BranchSet(Word("", "0"))))
     assert seq.prefix + nf_enumerate(nf(seq.tail.descriptor), 4) == (7, 4, 2, 4, 8, 16)
+
+
+# --- the values themselves --------------------------------------------------
+
+# Routes that build a value without calling its class directly.  Each starts
+# from a value made with tuple.__new__, which skips the constructor, and must
+# come back canonical or be refused.
+ROUTES = {
+    "_make": lambda raw: type(raw)._make(raw),
+    "_replace": lambda raw: raw._replace(**raw._asdict()),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda raw: pickle.loads(pickle.dumps(raw)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_countable_construction_route_validates(route):
+    build = ROUTES[route]
+    word = build(tuple.__new__(Word, ("01", "1")))
+    assert type(word) is Word and tuple(word) == ("0", "1")
+    finite = build(tuple.__new__(FiniteSet, ((2, 1, 2),)))
+    assert type(finite) is FiniteSet and finite.elements == (1, 2)
+    with pytest.raises(UnsupportedDescriptorError):
+        build(tuple.__new__(FinSupportPerm, (((0, 1), (1, 2)),)))
+    repeated = (BranchSet(Word("", "1")), BranchSet(Word("1", "1")))  # one word twice
+    with pytest.raises(UnsupportedDescriptorError):
+        build(tuple.__new__(ADFamily, (repeated,)))
+
+
+def test_countable_values_compare_by_type():
+    omega_grounds = (DiscreteOmega(), AntidiscreteOmega(), CoSmall())
+    pairs = [(FiniteSet((1, 2)), CofiniteSet((1, 2))), (EmptyZ(), AllZ()),
+             (ClosedLeftZ(3), OpenLeftZ(3)), *itertools.combinations(omega_grounds, 2)]
+    for a, b in pairs:
+        # equal fields and hashes: only the type tells the two apart
+        assert tuple(a) == tuple(b) and hash(a) == hash(b)
+        assert not a == b and not b == a
+        assert a != b and b != a
+    finite, cofinite = FiniteSet((1, 2)), CofiniteSet((1, 2))
+    for first, second in ((finite, cofinite), (cofinite, finite)):
+        nf.cache_clear()
+        nf(first)
+        assert nf(second) != nf(first)
+        assert nf(finite).is_finite() and nf(cofinite).is_cofinite()
+    family = ad_family(3)
+    for x in (Word("0", "1"), finite, nf(cofinite), OmegaStarSet(finite, star=True),
+              CoSmall(), OrderedZ(3), family, construct_o_star(family)):
+        assert hash(x) == hash(tuple(x))
+    assert repr(finite) == "FiniteSet(elements=(1, 2))"
+    assert repr(CoSmall()) == "CoSmall()"
+    assert repr(OrderedZ()) == "OrderedZ(c=0)"
+    assert repr(OmegaStarSet(CofiniteSet((4,)), star=True)) == \
+        "OmegaStarSet(omega=CofiniteSet(excluded=(4,)), star=True)"
+    assert repr(nf(finite)) == \
+        "NormalForm(complemented=False, words=(), plus=frozenset({1, 2}), minus=frozenset())"
