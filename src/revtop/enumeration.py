@@ -1,9 +1,13 @@
 """Exhaustive enumeration of all topologies on n points, two independent ways.
 
-The production catalog walks all preorders and transports them through the
-specialization bijection: the opens of a preorder's up-set (Alexandrov)
-topology are all unions of its principal up-sets, so they are built by
-union-closing the n up-set rows rather than by testing all 2^n point sets.
+The production catalog is built orbit by orbit through the specialization
+bijection: the opens of a preorder's up-set (Alexandrov) topology are all
+unions of its principal up-sets, so they are built by union-closing the n
+up-set rows rather than by testing all 2^n point sets.  Only the preorders
+whose up-set sizes do not grow with the point are walked, one or more per
+orbit (286 of 6942 at n = 5), and each new orbit is expanded once through
+the permutation tables, the idea of counting by one representative per
+orbit (Brinkmann & McKay, J. Integer Sequences 8, 2005).
 The cross-check is closure enumeration, which builds each topology once,
 from the antidiscrete one, by adjoining point sets in increasing order and
 closing: Close-by-One (Kuznetsov 1993) with the failure inheritance of FCbO
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
+from itertools import chain
 
 from .topology import (
     FiniteTopology,
@@ -30,25 +35,25 @@ from .topology import (
 
 
 def _preorders(n: int):
-    """(up-set rows, opens) of every preorder on n points, rows in increasing
-    order: a depth-first search that gives point i each up-set containing i
-    that is consistent with the rows already fixed.  The opens of its up-set
-    (Alexandrov) topology are all unions of the rows, so the search carries
-    the union closure of the rows fixed so far and extends it by each new
-    row; the closures of a shared prefix are built once.
+    """Up-set rows of the preorders on n points whose up-set sizes do not grow
+    with the point (row i has no more points than row i-1), in increasing
+    order.  Relabelling the points by decreasing up-set size carries every
+    preorder onto one of these, so they reach every orbit: 286 rows of the
+    6942 preorders at n = 5, 2366 of 209,527 at n = 6.
 
-    A row m for point i is consistent when it lies inside every earlier row
+    A depth-first search gives point i each up-set containing i that is
+    consistent with the rows already fixed and no larger than row i-1.  A
+    row m for point i is consistent when it lies inside every earlier row
     that holds i (j <= i) and holds the row of every earlier point inside it
     (i <= j).  So the candidates are i plus the subsets of the intersection
     ``cap`` of those rows, walked in increasing order, and only the earlier
     points of m are checked."""
-    check_ground(n)
     full = full_mask(n)
     rows = [0] * n
 
-    def extend(i: int, opens: set[int]):
+    def extend(i: int, limit: int):
         if i == n:
-            yield tuple(rows), opens
+            yield tuple(rows)
             return
         bit = 1 << i
         cap = full
@@ -59,20 +64,32 @@ def _preorders(n: int):
         sub = 0
         while True:
             m = sub | bit
-            below = m & (bit - 1)
-            while below:
-                low = below & -below
-                if rows[low.bit_length() - 1] | m != m:
-                    break
-                below ^= low
-            else:
-                rows[i] = m
-                yield from extend(i + 1, opens | {o | m for o in opens})
+            size = m.bit_count()
+            if size <= limit:
+                below = m & (bit - 1)
+                while below:
+                    low = below & -below
+                    if rows[low.bit_length() - 1] | m != m:
+                        break
+                    below ^= low
+                else:
+                    rows[i] = m
+                    yield from extend(i + 1, size)
             sub = (sub - rest) & rest       # the next subset of rest
             if not sub:
                 return
 
-    return extend(0, {0})
+    return extend(0, n)
+
+
+def _up_opens(rows) -> tuple[int, ...]:
+    """The opens of the up-set (Alexandrov) topology of the preorder with
+    up-set rows ``rows``, sorted: all unions of the rows, built by
+    union-closing them one by one rather than by testing all 2^n point sets."""
+    opens = {0}
+    for row in rows:
+        opens |= {o | row for o in opens}
+    return tuple(sorted(opens))
 
 
 def preorder_of_topology(t: FiniteTopology) -> tuple[int, ...]:
@@ -193,10 +210,10 @@ def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
 
 
 def enumerate_topologies_via_preorders(n: int) -> tuple[FiniteTopology, ...]:
-    """Every preorder transported through the bijection, sorted: the
-    topologies of the production catalog.  The open families are sorted as
-    tuples, before any value is built."""
-    return computed_topologies(n, sorted(tuple(sorted(opens)) for _, opens in _preorders(n)))
+    """The topologies of the production catalog, sorted: the orbits of the
+    size-sorted preorders of :func:`_preorders`, transported through the
+    bijection."""
+    return enumerate_topologies(n).topologies
 
 
 class TopologyCatalog:
@@ -234,24 +251,32 @@ class TopologyCatalog:
 
 
 def enumerate_topologies(n: int) -> TopologyCatalog:
-    """Catalog of all topologies on n points, built from the preorders.
+    """Catalog of all topologies on n points, built orbit by orbit.
 
-    Each orbit lists the catalog's own values, found by their open families,
-    so no topology is built twice; an orbit image that is not an unclaimed
-    catalog member is a program fault."""
-    topologies = enumerate_topologies_via_preorders(n)
-    orbits: dict[FiniteTopology, tuple[FiniteTopology, ...]] = {}
-    unseen = {t.opens: t for t in topologies}
-    for t in topologies:
-        if t.opens in unseen:
-            try:
-                members = tuple(map(unseen.pop, orbit_opens(t)))
-            except KeyError as exc:
-                raise AssertionError(f"an image of opens {list(t.opens)} is not an "
-                                     f"unclaimed catalog member") from exc
-            orbits[members[0]] = members
-    reps = tuple(sorted(orbits))
-    return TopologyCatalog(n, topologies, reps, orbits)
+    Each size-sorted preorder (:func:`_preorders`) whose opens lie in no orbit
+    built so far expands its orbit once, through the permutation tables
+    (:func:`orbit_opens`), and the orbit's members are built through the
+    validating constructor there, so each member is checked once.  An orbit
+    that meets one already built is a program fault.  The ground size is
+    checked before any permutation table is built."""
+    check_ground(n)
+    seen: set[tuple[int, ...]] = set()
+    orbits = []
+    for rows in _preorders(n):
+        opens = _up_opens(rows)
+        if opens in seen:
+            continue
+        images = orbit_opens(n, opens)
+        if not seen.isdisjoint(images):
+            raise AssertionError(f"the orbit of opens {list(opens)} meets an orbit "
+                                 f"already built")
+        seen.update(images)
+        orbits.append(computed_topologies(n, images))
+    del seen            # before the sort: the peak at n = 6 stays lower
+    orbits.sort()       # by representative: distinct orbits have distinct least members
+    topologies = tuple(sorted(chain.from_iterable(orbits)))
+    return TopologyCatalog(n, topologies, tuple(orbit[0] for orbit in orbits),
+                           {orbit[0]: orbit for orbit in orbits})
 
 
 @lru_cache(maxsize=None)

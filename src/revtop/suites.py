@@ -49,7 +49,7 @@ class SuiteResult(namedtuple("SuiteResult", ("name", "agreed", "total", "detail"
 
 
 def suite_enum(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
-    """The preorder-built catalog and Close-by-One closure enumeration must
+    """The orbit-built catalog and Close-by-One closure enumeration must
     coincide.  On a mismatch the detail names the least topology found by
     only one of the two routes."""
     cat = catalog(n)

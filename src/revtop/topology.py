@@ -308,22 +308,23 @@ def is_homeomorphism(f: tuple[int, ...], t1: FiniteTopology, t2: FiniteTopology)
     return is_continuous(f, t1, t2) and image_topology(f, t1) == t2
 
 
-def orbit_opens(t: FiniteTopology) -> list[tuple[int, ...]]:
-    """The open families of all permutation images of t, sorted.
+def orbit_opens(n: int, opens) -> list[tuple[int, ...]]:
+    """The families of the images of the point sets ``opens`` (the opens of
+    a topology on n points) under every permutation, sorted.
 
-    images picks the images of t's opens out of a permutation's table; its
+    images picks the images of the opens out of a permutation's table; its
     extra leading 0 (the image of the empty set) keeps the result a tuple
-    when t has one open, and is cut off each distinct image."""
-    images = itemgetter(0, *t.opens)
-    distinct = set(map(tuple, map(sorted, map(images, mask_tables(t.n)))))
+    when there is one open, and is cut off each distinct image."""
+    images = itemgetter(0, *opens)
+    distinct = set(map(tuple, map(sorted, map(images, mask_tables(n)))))
     return [o[1:] for o in sorted(distinct)]
 
 
 def homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
     """All permutation images of t, sorted; the first is its canonical form."""
-    return computed_topologies(t.n, orbit_opens(t))
+    return computed_topologies(t.n, orbit_opens(t.n, t.opens))
 
 
 def canonical_form(t: FiniteTopology) -> FiniteTopology:
     """Lexicographically least permutation image; constant on homeomorphism classes."""
-    return computed_topologies(t.n, orbit_opens(t)[:1])[0]
+    return computed_topologies(t.n, orbit_opens(t.n, t.opens)[:1])[0]

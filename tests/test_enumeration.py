@@ -5,16 +5,20 @@ import pytest
 
 from conftest import (
     RUN_N5,
+    all_preorders,
     brute_force_preorders,
     brute_force_topologies,
     needs_n6,
     relabelled_rows,
     topology_of_preorder,
+    transported_catalog,
 )
 
 import revtop.enumeration as enumeration
+import revtop.topology as topology
 from revtop.enumeration import (
     _preorders,
+    _up_opens,
     canonical_preorder,
     catalog,
     enumerate_topologies,
@@ -31,6 +35,7 @@ from revtop.topology import (
 )
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}   # OEIS A000798
+KNOWN_ORBITS = {0: 1, 1: 1, 2: 3, 3: 9, 4: 33, 5: 139}      # OEIS A001930
 
 
 @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
@@ -56,7 +61,7 @@ def test_closure_route_reads_no_preorders(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the closure route read the production catalog")
 
-    for name in ("_preorders", "preorder_of_topology",
+    for name in ("_preorders", "_up_opens", "preorder_of_topology", "enumerate_topologies",
                  "enumerate_topologies_via_preorders", "catalog"):
         monkeypatch.setattr(enumeration, name, forbidden)
     assert len(enumeration.enumerate_topologies_by_closure(4)) == 355
@@ -73,16 +78,17 @@ def test_closure_route_prunes_by_inherited_failures(monkeypatch):
 
 
 def test_catalog_fault_is_an_internal_error(monkeypatch, capsys):
-    # a search that loses the full set from one family builds no topology
+    # opens that lose the full set from one candidate build no topology
     from revtop.cli import main
 
-    search = enumeration._preorders
+    calls = []
 
-    def lossy(n):
-        for k, (rows, opens) in enumerate(search(n)):
-            yield rows, opens - {(1 << n) - 1} if k == 7 else opens
+    def lossy(rows):
+        calls.append(rows)
+        opens = _up_opens(rows)
+        return opens[:-1] if len(calls) == 2 else opens
 
-    monkeypatch.setattr(enumeration, "_preorders", lossy)
+    monkeypatch.setattr(enumeration, "_up_opens", lossy)
     enumeration.catalog.cache_clear()
     try:
         assert main(["enum", "--n", "3"]) == 3
@@ -93,25 +99,114 @@ def test_catalog_fault_is_an_internal_error(monkeypatch, capsys):
     assert "lacks the full set" in err
 
 
+def test_overlapping_orbits_are_an_internal_error(monkeypatch, capsys):
+    # a table that complements every proper nonempty set comes from no
+    # permutation of the points: it puts each topology's dual, the family of
+    # its closed sets, into its orbit, and some duals are not homeomorphic
+    from revtop.cli import main
+
+    tables = mask_tables(3) + ((0,) + tuple(7 ^ m for m in range(1, 7)) + (7,),)
+    monkeypatch.setattr(topology, "mask_tables", lambda n: tables)
+    enumeration.catalog.cache_clear()
+    try:
+        assert main(["enum", "--n", "3"]) == 3
+    finally:
+        enumeration.catalog.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: the orbit of opens ")
+    assert err.endswith(" meets an orbit already built\n")
+
+
+def test_cap_is_checked_before_any_table(monkeypatch):
+    from revtop.cli import main
+
+    def forbidden(n):
+        raise AssertionError(f"built the permutation tables for n={n}")
+
+    monkeypatch.delenv("REVTOP_MAX_N", raising=False)
+    monkeypatch.setattr(topology, "mask_tables", forbidden)
+    monkeypatch.setattr(enumeration, "orbit_opens", forbidden)
+    with pytest.raises(CapExceededError):
+        enumerate_topologies(9)
+    assert main(["enum", "--n", "9"]) == 2
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_every_member_is_validated_once(monkeypatch, n):
+    calls = []
+    check = topology._is_topology
+    monkeypatch.setattr(topology, "_is_topology",
+                        lambda k, ops: calls.append(ops) or check(k, ops))
+    cat = enumerate_topologies(n)
+    assert len(calls) == len(cat) == KNOWN_COUNTS[n]
+    assert sorted(calls) == [t.opens for t in cat.topologies]
+
+
 def test_every_member_is_valid(cat4):
     for t in cat4.topologies:
         assert validate_topology(4, t.opens) == t
 
 
+def non_increasing(rows) -> bool:
+    return all(a.bit_count() >= b.bit_count() for a, b in zip(rows, rows[1:]))
+
+
 def test_preorder_count_matches_topology_count():
     for n in range(6):
-        rows = [up for up, _ in _preorders(n)]
+        rows = [up for up, _ in all_preorders(n)]
         assert len(rows) == KNOWN_COUNTS[n]
         assert rows == sorted(set(rows))
 
 
 @pytest.mark.parametrize("n", range(6 if RUN_N5 else 5))
 def test_preorder_search_matches_the_oracles(n):
-    # the pruned search, in order, against every reflexive transitive tuple
-    # of rows and the 2^n scan for the up-closed point sets
+    # the oracle's pruned search, in order, against every reflexive
+    # transitive tuple of rows and the 2^n scan for the up-closed point sets
     expected = [(rows, set(topology_of_preorder(rows).opens))
                 for rows in brute_force_preorders(n)]
+    assert list(all_preorders(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(6 if RUN_N5 else 5))
+def test_size_sorted_search_matches_the_oracles(n):
+    # exactly the preorders whose up-set sizes do not grow, in order, with
+    # the opens of each
+    expected = [rows for rows in brute_force_preorders(n) if non_increasing(rows)]
     assert list(_preorders(n)) == expected
+    assert [_up_opens(rows) for rows in expected] == [
+        topology_of_preorder(rows).opens for rows in expected]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_size_sorted_search_reaches_every_orbit(n):
+    # canonical keys of the candidates: one per orbit, and by
+    # orbit-stabilizer the orbits they reach hold every topology
+    keys = {canonical_preorder(rows)[0::2] for rows in _preorders(n)}
+    assert len(keys) == KNOWN_ORBITS[n]
+    assert sum(factorial(n) // aut for _, aut in keys) == KNOWN_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_catalog_matches_the_transport(n):
+    topologies, reps, orbits = transported_catalog(n)
+    cat = catalog(n)
+    assert cat.topologies == topologies
+    assert cat.orbit_reps == reps
+    assert list(cat.orbits.items()) == list(orbits.items())
+
+
+@needs_n6
+def test_catalog_matches_the_transport_n6(monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    everything = [rows for rows, _ in all_preorders(6)]
+    assert len(everything) == 209527
+    assert list(_preorders(6)) == [rows for rows in everything if non_increasing(rows)]
+    del everything
+    topologies, reps, orbits = transported_catalog(6)
+    cat = catalog(6)
+    assert cat.topologies == topologies
+    assert cat.orbit_reps == reps
+    assert list(cat.orbits.items()) == list(orbits.items())
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -122,9 +217,9 @@ def test_round_trips(n):
     assert sorted(preorder_of_topology(t) for t in catalog(n).topologies) == preorders
     for up in preorders:
         assert preorder_of_topology(topology_of_preorder(up)) == up
-    # the opens the search carries, union-closed row by row, against the
-    # scan of all 2^n point sets
-    for up, opens in _preorders(n):
+    # the opens the oracle search carries, union-closed row by row, against
+    # the scan of all 2^n point sets
+    for up, opens in all_preorders(n):
         assert FiniteTopology(n, tuple(sorted(opens))) == topology_of_preorder(up)
     for t in catalog(n).topologies:
         assert topology_of_preorder(preorder_of_topology(t)) == t

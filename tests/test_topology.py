@@ -254,7 +254,7 @@ def test_orbit_opens_matches_image_topology(n):
     # the table-driven images against image_topology, permutation by permutation
     for t in catalog(n).topologies:
         images = {image_topology(f, t).opens for f in permutations(range(n))}
-        assert orbit_opens(t) == sorted(images)
+        assert orbit_opens(n, t.opens) == sorted(images)
 
 
 def test_opens_bitset_examples():
