@@ -12,19 +12,21 @@ The cross-check is closure enumeration, which builds each topology once,
 from the antidiscrete one, by adjoining point sets in increasing order and
 closing: Close-by-One (Kuznetsov 1993) with the failure inheritance of FCbO
 (Outrata & Vychodil, Inf. Sci. 185, 2012), which skips a closure already
-known to fail its canonicity test.  It reads neither preorders nor the
-catalog.  Both must produce identical catalogs (1, 1, 4, 29, 355, 6942 for
-n = 0..5, OEIS A000798).
+known to fail its canonicity test.  The test reads only the cuts b & g of
+the opens by the new point set g, linear in the number of opens: a cut that
+is neither open nor g is a new open below g, and without one the closure
+adds only opens containing g, so a failing closure is never built.  FCbO
+records those new cuts.  It reads neither preorders nor the catalog.  Both
+must produce identical catalogs (1, 1, 4, 29, 355, 6942, 209527 for
+n = 0..6, OEIS A000798).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import chain
 
 from .topology import (
     FiniteTopology,
-    adjoin_open,
     antidiscrete_topology,
     check_ground,
     computed_topologies,
@@ -170,42 +172,63 @@ def canonical_preorder(up) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return key, labelling, sum(weight for leaf, _, weight in found if leaf == key)
 
 
+def _new_cuts(opens, base: set[int], g: int) -> set[int]:
+    """The cuts b & g of the opens b that are neither open nor g itself: the
+    opens that adjoining g adds below g, empty iff the canonicity test passes."""
+    new = {b & g for b in opens} - base
+    new.discard(g)
+    return new
+
+
+def _adjoin_above(opens, base: set[int], g: int) -> set[int]:
+    """The opens of the closure of the opens and g when every cut b & g is
+    open or g: the opens together with the unions a | g."""
+    return base.union([a | g for a in opens])
+
+
 def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
     """Independent cross-check of the catalog: Close-by-One over the closure
-    operator "smallest topology containing these point sets" (:func:`adjoin_open`),
-    with the point sets 1 .. full-1 as generators in int order.
+    operator "smallest topology containing these point sets", with the point
+    sets 1 .. full-1 as generators in int order.
 
-    From a topology reached by adjoining generator ``last``, each larger
-    generator g not yet open gives the child ``adjoin_open(opens, g)``, which
-    is kept only if it adds no open below g.  Every topology is then reached
-    exactly once, from the antidiscrete one, so no seen-set is needed
-    (Kuznetsov 1993; Ganter, LNCS 5986, 2010).  A failed test records the
-    child's opens below g, and every descendant that lacks one of them skips
-    g without closing: its child would hold that open too, since the closure
-    is monotone (FCbO: Outrata & Vychodil, Inf. Sci. 185, 2012).  The stack
-    is explicit because the depth reaches 2^n - 2.  Sorted like the catalog."""
+    From a topology T reached by adjoining generator ``last``, each larger
+    generator g not yet open gives the child closure {a | (b & g) : a, b in T},
+    which is kept only if it adds no open below g.  Every topology is then
+    reached exactly once, from the antidiscrete one, so no seen-set is needed
+    (Kuznetsov 1993; Ganter, LNCS 5986, 2010).  The test is linear in |T|
+    (:func:`_new_cuts`): a cut b & g that is neither open nor g is a proper
+    subset of g, so a new open below g; if every cut is open or g, the
+    closure is T together with the unions a | g, each of them at least g, and
+    that is the child (:func:`_adjoin_above`).  A failing closure is never
+    built.
+
+    A failed test records its new cuts, and every descendant D that lacks one
+    of them skips g untested (FCbO: Outrata & Vychodil, Inf. Sci. 185, 2012):
+    D contains T, so a new cut b & g is a cut of D too, neither open in D nor
+    g, and D's test would fail.  These are the skips of FCbO recording the
+    whole closure below g: every open the failed closure adds below g is
+    a | c with a in T and c a new cut, and D is closed under unions, so D
+    lacks one of those opens iff it lacks a new cut.  The stack is explicit
+    because the depth reaches 2^n - 2.  Sorted like the catalog."""
     check_ground(n)
     full = full_mask(n)
     start = antidiscrete_topology(n).opens
     found = [start]
-    stack = [(start, 0, {})]
+    stack = [(start, set(start), 0, {})]
     while stack:
-        opens, last, inherited = stack.pop()
-        base = set(opens)
+        opens, base, last, inherited = stack.pop()
         failed = dict(inherited)   # holds for every descendant: they contain opens
-        children = []
         for g in range(last + 1, full):
             if g in base or not base.issuperset(inherited.get(g, ())):
                 continue
-            child = adjoin_open(opens, g)
-            # child contains opens, so equal counts below g mean equal sets
-            cut = bisect_left(child, g)
-            if cut == bisect_left(opens, g):
-                children.append((child, g))
+            new = _new_cuts(opens, base, g)
+            if new:
+                failed[g] = new
             else:
-                failed[g] = child[:cut]
-        found.extend(child for child, _ in children)
-        stack.extend((child, g, failed) for child, g in children)
+                child = _adjoin_above(opens, base, g)
+                found.append(tuple(sorted(child)))
+                # the children share failed, complete before any is popped
+                stack.append((found[-1], child, g, failed))
     return computed_topologies(n, sorted(found))
 
 

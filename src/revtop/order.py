@@ -35,10 +35,6 @@ REVERSIBILITY_METHODS = ("no_coarser", "no_finer", "antichain", "direct")
 LEQ_METHODS = ("coarsening_of_t2_side", "refinement_of_t1_side", "witness_map")
 
 
-def _opens_subset(a: FiniteTopology, b_set: frozenset[int]) -> bool:
-    return all(o in b_set for o in a.opens)
-
-
 def _monotone_bijections(dom_up, cod_up):
     """Every bijection f (point i maps to f[i]) that preserves the preorders
     given by the up-set rows dom_up and cod_up (bit j of up[i] set iff
@@ -96,9 +92,10 @@ def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
         cls = catalog(t.n).orbits.get(t) or homeo_class(t)
     if method == "no_coarser":
         t_set = frozenset(t.opens)
-        return not any(u != t and _opens_subset(u, t_set) for u in cls)
+        return not any(u != t and t_set.issuperset(u.opens) for u in cls)
     if method == "no_finer":
-        return not any(u != t and _opens_subset(t, frozenset(u.opens)) for u in cls)
+        t_set = frozenset(t.opens)
+        return not any(u != t and t_set.issubset(u.opens) for u in cls)
     if method == "antichain":
         # distinct nested families differ in open count, so only members of
         # different counts are compared; a repeated member is a nested pair

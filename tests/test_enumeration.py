@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from math import factorial
 
 import pytest
@@ -29,6 +30,7 @@ from revtop.topology import (
     CapExceededError,
     FiniteTopology,
     TopologyError,
+    adjoin_open,
     mask_tables,
     opens_bitset,
     validate_topology,
@@ -68,13 +70,52 @@ def test_closure_route_reads_no_preorders(monkeypatch):
 
 
 def test_closure_route_prunes_by_inherited_failures(monkeypatch):
-    # Close-by-One without the inherited failures closes 956 times at n=4
+    # one canonicity test per candidate the inherited failures do not skip;
+    # Close-by-One without them makes 956 at n=4 and 36,812 at n=5
     calls = []
-    adjoin = enumeration.adjoin_open
-    monkeypatch.setattr(enumeration, "adjoin_open",
-                        lambda opens, g: calls.append(g) or adjoin(opens, g))
-    assert len(enumeration.enumerate_topologies_by_closure(4)) == 355
-    assert len(calls) < 956
+    new_cuts = enumeration._new_cuts
+    monkeypatch.setattr(enumeration, "_new_cuts",
+                        lambda opens, base, g: calls.append(g) or new_cuts(opens, base, g))
+    for n, tests in {2: 3, 3: 36, 4: 591, 5: 14422}.items():
+        calls.clear()
+        assert len(enumeration.enumerate_topologies_by_closure(n)) == KNOWN_COUNTS[n]
+        assert len(calls) == tests, n
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_linear_canonicity_test_matches_the_closure(n):
+    # the closure route's verdict and child against the full closure: the
+    # child adds no open below g iff both have as many opens below g
+    for t in brute_force_topologies(n):
+        base = set(t.opens)
+        for g in range(1, t.full):
+            if g in base:
+                continue
+            closed = adjoin_open(t.opens, g)
+            canonical = bisect_left(closed, g) == bisect_left(t.opens, g)
+            new = enumeration._new_cuts(t.opens, base, g)
+            assert (not new) == canonical, (t.opens, g)
+            if canonical:
+                assert tuple(sorted(enumeration._adjoin_above(t.opens, base, g))) == closed
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_new_cuts_decide_the_fcbo_skip(n):
+    # a topology D containing T lacks one of the closure's opens below g iff
+    # it lacks one of the new cuts, so recording the cuts skips the same
+    # candidates as recording the whole closure below g
+    tops = brute_force_topologies(n)
+    for t in tops:
+        base = set(t.opens)
+        above = [set(d.opens) for d in tops if base.issubset(d.opens)]
+        for g in range(1, t.full):
+            if g in base:
+                continue
+            closed = adjoin_open(t.opens, g)
+            below = closed[:bisect_left(closed, g)]
+            new = enumeration._new_cuts(t.opens, base, g)
+            for d in above:
+                assert d.issuperset(new) == d.issuperset(below), (t.opens, g, sorted(d))
 
 
 def test_catalog_fault_is_an_internal_error(monkeypatch, capsys):
@@ -193,6 +234,14 @@ def test_catalog_matches_the_transport(n):
     assert cat.topologies == topologies
     assert cat.orbit_reps == reps
     assert list(cat.orbits.items()) == list(orbits.items())
+
+
+@needs_n6
+def test_both_enumerators_agree_n6(monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    oracle = enumerate_topologies_by_closure(6)
+    assert len(oracle) == 209527        # OEIS A000798
+    assert oracle == catalog(6).topologies
 
 
 @needs_n6
