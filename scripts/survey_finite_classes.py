@@ -38,8 +38,8 @@ def survey(n: int, dot_dir: str | None) -> None:
     oracle = enumerate_topologies_by_closure(n)
     agree = tuple(cat.topologies) == oracle
     digraph = condensational_order(n)
-    strong = sum(1 for t in cat.orbit_reps if is_strongly_reversible(t))
-    weak = sum(1 for t in cat.orbit_reps if is_weakly_reversible(t))
+    strong = sum(1 for t in cat.orbits if is_strongly_reversible(t))
+    weak = sum(1 for t in cat.orbits if is_weakly_reversible(t))
     longest = longest_chain(digraph)
     elapsed = time.time() - start
     print(f"n={n}: topologies={len(cat)} orbits={cat.orbit_count} "

@@ -68,10 +68,10 @@ def cmd_enum(args) -> int:
 def cmd_classify(args) -> int:
     cat = catalog(args.n)
     rows = []
-    for rep in cat.orbit_reps:
+    for rep, orbit in cat.orbits.items():
         rows.append({
             "opens": list(rep.opens),
-            "orbit_size": len(cat.orbits[rep]),
+            "orbit_size": len(orbit),
             "reversible": is_reversible(rep),
             "weakly_reversible": is_weakly_reversible(rep),
             "strongly_reversible": is_strongly_reversible(rep),

@@ -112,9 +112,6 @@ class Word(TypedValue, namedtuple("Word", ("prefix", "period"))):
         reps = (tail + len(self.period) - 1) // len(self.period)
         return (self.prefix + self.period * reps)[:k]
 
-    def sort_key(self) -> tuple[str, str]:
-        return (self.prefix, self.period)
-
     def to_json(self) -> dict:
         return {"prefix": self.prefix, "period": self.period}
 
@@ -278,10 +275,9 @@ def _combine(x: NormalForm, y: NormalForm, op) -> NormalForm:
     flag = op(x.complemented, y.complemented)
     x_words, y_words = frozenset(x.words), frozenset(y.words)
     words = tuple(sorted(
-        (w for w in x_words | y_words
-         if op(x.complemented != (w in x_words),
-               y.complemented != (w in y_words)) != flag),
-        key=Word.sort_key))
+        w for w in x_words | y_words
+        if op(x.complemented != (w in x_words),
+              y.complemented != (w in y_words)) != flag))
     inside = op(not x.complemented, not y.complemented) != flag
     kept = set(words)
     cands = set(x.plus) | x.minus | y.plus | y.minus

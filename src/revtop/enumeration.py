@@ -22,7 +22,7 @@ n = 0..6, OEIS A000798).
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 
 from .topology import (
@@ -31,7 +31,6 @@ from .topology import (
     check_ground,
     computed_topologies,
     full_mask,
-    opens_bitset,
     orbit_opens,
 )
 
@@ -240,14 +239,21 @@ def enumerate_topologies_via_preorders(n: int) -> tuple[FiniteTopology, ...]:
 
 
 class TopologyCatalog:
-    """All topologies on n points plus their homeomorphism-orbit partition."""
+    """All topologies on n points, sorted, and their homeomorphism-orbit
+    partition: ``orbits`` maps each orbit's representative, its least member,
+    to the orbit, in increasing order of representative.  The orbit sizes
+    must add up to the number of topologies, since the per-orbit suites
+    weight each verdict by its orbit's size; the AssertionError survives
+    python -O."""
 
     def __init__(self, n: int, topologies: tuple[FiniteTopology, ...],
-                 orbit_reps: tuple[FiniteTopology, ...],
                  orbits: dict[FiniteTopology, tuple[FiniteTopology, ...]]):
+        covered = sum(map(len, orbits.values()))
+        if covered != len(topologies):
+            raise AssertionError(f"orbit sizes sum to {covered}, "
+                                 f"but the catalog has {len(topologies)} topologies")
         self.n = n
         self.topologies = topologies
-        self.orbit_reps = orbit_reps
         self.orbits = orbits
 
     def __len__(self) -> int:
@@ -255,22 +261,7 @@ class TopologyCatalog:
 
     @property
     def orbit_count(self) -> int:
-        return len(self.orbit_reps)
-
-    def orbit_sizes(self) -> tuple[int, ...]:
-        return tuple(len(self.orbits[r]) for r in self.orbit_reps)
-
-    @cached_property
-    def by_open_count(self) -> dict[int, tuple[tuple[int, ...], tuple[FiniteTopology, ...]]]:
-        """Members grouped by their number of opens: for each count, the
-        members' :func:`opens_bitset` values and the members in the same
-        order.  Built once per catalog, for convex hulls."""
-        groups: dict[int, tuple[list[int], list[FiniteTopology]]] = {}
-        for t in self.topologies:
-            bits, members = groups.setdefault(len(t.opens), ([], []))
-            bits.append(opens_bitset(t))
-            members.append(t)
-        return {k: (tuple(bits), tuple(members)) for k, (bits, members) in groups.items()}
+        return len(self.orbits)
 
 
 def enumerate_topologies(n: int) -> TopologyCatalog:
@@ -298,8 +289,7 @@ def enumerate_topologies(n: int) -> TopologyCatalog:
     del seen            # before the sort: the peak at n = 6 stays lower
     orbits.sort()       # by representative: distinct orbits have distinct least members
     topologies = tuple(sorted(chain.from_iterable(orbits)))
-    return TopologyCatalog(n, topologies, tuple(orbit[0] for orbit in orbits),
-                           {orbit[0]: orbit for orbit in orbits})
+    return TopologyCatalog(n, topologies, {orbit[0]: orbit for orbit in orbits})
 
 
 @lru_cache(maxsize=None)

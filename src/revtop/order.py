@@ -4,10 +4,10 @@ Homeomorphism classes, the four equivalent reversibility tests, the three
 equivalent formulations of the condensational ordering, convex hulls and weak
 reversibility, strong reversibility with its classification, and the
 quotient order digraph.  Production paths read orbits from ``catalog(n)``: the
-quotient order is the reachability of one-open adjoins between orbits, and a
-convex hull scans catalog members only at open counts strictly inside its
-family's range.  The permutation searches are the second route; two of them
-walk only the bijections that preserve the specialization preorder.
+quotient order is the reachability of one-open adjoins between orbits.  A
+convex hull reads no catalog: it walks up from its members by one-open
+adjoins.  The permutation searches are the second route; two of them walk
+only the bijections that preserve the specialization preorder.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .topology import (
     FiniteTopology,
     adjoin_open,
     antidiscrete_topology,
+    computed_topologies,
     discrete_topology,
     full_mask,
     homeo_class,
@@ -76,6 +77,12 @@ def _monotone_bijections(dom_up, cod_up):
     return extend(0, (1 << n) - 1)
 
 
+def _homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
+    """The homeomorphism class of t: its orbit in ``catalog(t.n)``, or the
+    permutation images when t is not a representative."""
+    return catalog(t.n).orbits.get(t) or homeo_class(t)
+
+
 def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
     """Is every continuous self-bijection of (X, t) a homeomorphism?
 
@@ -89,7 +96,7 @@ def is_reversible(t: FiniteTopology, method: str = "antichain") -> bool:
     open and its image family differing from t.
     """
     if method in ("no_coarser", "no_finer", "antichain"):
-        cls = catalog(t.n).orbits.get(t) or homeo_class(t)
+        cls = _homeo_class(t)
     if method == "no_coarser":
         t_set = frozenset(t.opens)
         return not any(u != t and t_set.issuperset(u.opens) for u in cls)
@@ -175,43 +182,49 @@ def sim_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
 
 def conv_hull(topologies) -> tuple[FiniteTopology, ...]:
     """Minimal convex superset in the inclusion lattice: everything that sits
-    between two members (inclusive bounds).
+    between two members (inclusive bounds).  Reads no catalog.
 
-    A candidate strictly above a member has more opens and one strictly below
-    has fewer, so a candidate with k opens is in the hull iff it is a member,
-    or some member with fewer than k opens lies below it and some member with
-    more than k opens lies above it.  At the family's least and greatest open
-    counts only members qualify; only the counts strictly between them scan
-    the members of ``catalog(n)``.  An orbit has one open count, so its hull
-    costs O(|orbit|).
+    Nested families differ in open count, so a family with one open count is
+    an antichain and its own hull; every orbit is one.  Otherwise the hull is
+    walked up from the members: from each hull member u, adjoin each point
+    set g open in some member b above u (:func:`adjoin_open`).  The result
+    lies below b, since b is a topology holding u and g, so it is in the
+    hull.  The walk is exact: every u between members a and b is reached
+    from a by adjoining u's extra opens one at a time, and each step stays
+    below u, hence below b.  Each hull member is compared with every member
+    and tries up to 2^n point sets, so a hull spanning the whole lattice at
+    n = 5 takes seconds; every hull a command computes is of one orbit.
     """
     tops = set(topologies)
     if not tops:
         return ()
     if len({t.n for t in tops}) > 1:
         raise DimensionMismatchError("family mixes topologies on different ground sets")
-    counts = {len(t.opens) for t in tops}
-    lo, hi = min(counts), max(counts)
-    out = [u for u in tops if len(u.opens) in (lo, hi)]
-    if hi - lo > 1:
-        family = [(len(u.opens), opens_bitset(u)) for u in tops]
-        members = {bits for _, bits in family}
-        by_count = catalog(next(iter(tops)).n).by_open_count
-        for k in range(lo + 1, hi):
-            below = [a for j, a in family if j < k]
-            above = [b for j, b in family if j > k]
-            bits, cands = by_count.get(k, ((), ()))
-            for c, cand in zip(bits, cands):
-                if c in members or (any(a & c == a for a in below)
-                                    and any(c & b == c for b in above)):
-                    out.append(cand)
+    if len({len(t.opens) for t in tops}) > 1:
+        members = {t.opens for t in tops}
+        family = [opens_bitset(t) for t in tops]
+        found = set(members)
+        todo = list(members)
+        while todo:
+            opens = todo.pop()
+            bits = sum(map((1).__lshift__, opens))
+            extra = 0       # the point sets open in a member above, not in opens
+            for b in family:
+                if b & bits == bits:
+                    extra |= b & ~bits
+            for g in _bits(extra):
+                child = adjoin_open(opens, g)
+                if child not in found:
+                    found.add(child)
+                    todo.append(child)
+        tops.update(computed_topologies(next(iter(tops)).n, found - members))
     # one ground set, so the opens alone order the topologies
-    return tuple(sorted(out, key=attrgetter("opens")))
+    return tuple(sorted(tops, key=attrgetter("opens")))
 
 
 def is_weakly_reversible(t: FiniteTopology) -> bool:
     """True iff the homeomorphism class of t is convex in the inclusion lattice."""
-    cls = catalog(t.n).orbits.get(t) or homeo_class(t)
+    cls = _homeo_class(t)
     return conv_hull(cls) == cls
 
 
@@ -313,8 +326,8 @@ def condensational_order(n: int) -> CondOrderDigraph:
     rep i.  Each child has more opens, so one pass over the representatives
     in decreasing open count ORs in the finished rows of the children."""
     cat = catalog(n)
-    reps = cat.orbit_reps
-    orbit_of = {u.opens: i for i, rep in enumerate(reps) for u in cat.orbits[rep]}
+    reps = tuple(cat.orbits)
+    orbit_of = {u.opens: i for i, orbit in enumerate(cat.orbits.values()) for u in orbit}
     sets = range(1, full_mask(n))
     up = [0] * len(reps)
     for i in sorted(range(len(reps)), key=lambda i: -len(reps[i].opens)):
@@ -331,4 +344,4 @@ def condensational_order(n: int) -> CondOrderDigraph:
         up[i] = row
     up = tuple(up)
     hasse = tuple((i, j) for i, row in enumerate(_covers(up)) for j in _bits(row))
-    return CondOrderDigraph(n, reps, cat.orbit_sizes(), up, hasse)
+    return CondOrderDigraph(n, reps, tuple(map(len, cat.orbits.values())), up, hasse)

@@ -4,9 +4,10 @@ Suite keys are the stable identifiers used by the command line: each runs
 one family of cross-checks over every topology (or pair) in the catalog and
 reports how many instances agreed.
 
-The per-topology suites (fact11, prop14, thm31) evaluate each homeomorphism
-orbit once, at its catalog representative, and count it at its orbit size,
-so `total` is still the number of labelled topologies.  That is sound
+The per-topology suites (fact11, prop14, thm31) share one path: a check
+``(representative, orbit) -> bool`` runs once per entry of the catalog's
+orbit map, and each verdict counts at its orbit's size, so `total` is still
+the number of labelled topologies.  That is sound
 because every property they test is invariant under relabelling the
 points: a permutation carries a topology's homeomorphism class,
 condensational equivalence class, convex hull and reversibility verdicts
@@ -66,82 +67,56 @@ def suite_enum(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
                        total, detail)
 
 
-def _fact11_verdicts(orbits) -> list[bool]:
+def _fact11(rep, orbit) -> bool:
     """The four reversibility tests agree (and hold) at the representative."""
-    return [{is_reversible(rep, m) for m in REVERSIBILITY_METHODS} == {True}
-            for rep, _ in orbits]
+    return {is_reversible(rep, m) for m in REVERSIBILITY_METHODS} == {True}
 
 
-def _prop14_verdicts(orbits) -> list[bool]:
+def _prop14(rep, orbit) -> bool:
     """The equivalence class, from :func:`sim_class` and so from the permutation
     search, is the convex hull of the orbit, and :func:`is_weakly_reversible`
     holds exactly when the orbit is the whole equivalence class."""
-    verdicts = []
-    for rep, cls in orbits:
-        sim = sim_class(rep)
-        verdicts.append(sim == conv_hull(cls) and is_weakly_reversible(rep) == (sim == cls))
-    return verdicts
+    sim = sim_class(rep)
+    return sim == conv_hull(orbit) and is_weakly_reversible(rep) == (sim == orbit)
 
 
-def _thm31_verdict(rep, cls, fast: bool) -> bool:
-    """The transposition test's answer `fast` and the classification both
+def _thm31(rep, orbit, strong: bool) -> bool:
+    """The transposition test's answer ``strong`` and the classification both
     agree with the orbit having a single member."""
     label = classify_strongly_reversible(rep)
-    return fast == (len(cls) == 1) and fast == (label != StrongKind.NOT_STRONGLY_REVERSIBLE)
+    return strong == (len(orbit) == 1) and strong == (label != StrongKind.NOT_STRONGLY_REVERSIBLE)
 
 
-def _thm31_verdicts(orbits) -> list[bool]:
-    return [_thm31_verdict(rep, cls, is_strongly_reversible(rep)) for rep, cls in orbits]
-
-
-_ORBIT_VERDICTS = {
-    "fact11": _fact11_verdicts,
-    "prop14": _prop14_verdicts,
-    "thm31": _thm31_verdicts,
+_CHECKS = {
+    "fact11": _fact11,
+    "prop14": _prop14,
+    "thm31": lambda rep, orbit: _thm31(rep, orbit, is_strongly_reversible(rep)),
 }
 
 
-def _orbits(cat: TopologyCatalog) -> list[tuple[FiniteTopology, tuple[FiniteTopology, ...]]]:
-    """(representative, orbit) for each orbit of the catalog, in ``orbit_reps``
-    order.  A verdict is weighted by its orbit's size, so the sizes are first
-    checked to add up to the catalog size; the AssertionError survives
-    python -O."""
-    covered = sum(len(cat.orbits[rep]) for rep in cat.orbit_reps)
-    if covered != len(cat.topologies):
-        raise AssertionError(f"orbit sizes sum to {covered}, "
-                             f"but the catalog has {len(cat.topologies)} topologies")
-    return [(rep, cat.orbits[rep]) for rep in cat.orbit_reps]
-
-
-def orbit_verdicts(name: str, cat: TopologyCatalog) -> list[
+def orbit_verdicts(name: str, cat: TopologyCatalog, check=None) -> list[
         tuple[FiniteTopology, tuple[FiniteTopology, ...], bool]]:
     """(representative, orbit, verdict) for each orbit of the catalog: the
-    per-topology suite ``name`` evaluated once at the representative."""
-    orbits = _orbits(cat)
-    verdicts = _ORBIT_VERDICTS[name](orbits)
-    return [(rep, cls, ok) for (rep, cls), ok in zip(orbits, verdicts)]
+    per-topology suite ``name`` evaluated once at the representative, by its
+    per-orbit check or by ``check`` in its place."""
+    check = check or _CHECKS[name]
+    return [(rep, orbit, check(rep, orbit)) for rep, orbit in cat.orbits.items()]
 
 
-def _agreed(verdicts) -> int:
-    return sum(len(cls) for _, cls, ok in verdicts if ok)
-
-
-def _first_disagreement(verdicts) -> str:
-    """Names the first orbit representative whose verdict failed, or ''."""
-    return next((f"first disagreement: opens {list(rep.opens)}"
-                 for rep, _, ok in verdicts if not ok), "")
-
-
-def _orbit_suite(name: str, n: int) -> SuiteResult:
-    cat = catalog(n)
-    verdicts = orbit_verdicts(name, cat)
-    return SuiteResult(name, _agreed(verdicts), len(cat.topologies),
-                       _first_disagreement(verdicts))
+def _orbit_result(name: str, verdicts, detail: str = "") -> SuiteResult:
+    """Each verdict counts for its orbit's size; the catalog checks that the
+    sizes add up to its number of topologies.  The detail ends by naming the
+    first representative whose verdict failed."""
+    first = next((f"first disagreement: opens {list(rep.opens)}"
+                  for rep, _, ok in verdicts if not ok), "")
+    return SuiteResult(name, sum(len(orbit) for _, orbit, ok in verdicts if ok),
+                       sum(len(orbit) for _, orbit, _ in verdicts),
+                       "; ".join(filter(None, (detail, first))))
 
 
 def suite_fact11(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """The four reversibility tests agree (and hold) on every catalog member."""
-    return _orbit_suite("fact11", n)
+    return _orbit_result("fact11", orbit_verdicts("fact11", catalog(n)))
 
 
 def suite_fact12(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
@@ -170,24 +145,25 @@ def suite_fact12(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
 def suite_prop14(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """Equivalence classes are the convex hulls of homeomorphism classes, and
     weak reversibility is exactly their coincidence."""
-    return _orbit_suite("prop14", n)
+    return _orbit_result("prop14", orbit_verdicts("prop14", catalog(n)))
 
 
 def suite_thm31(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """Strong-reversibility classification agrees with the orbit test; the
-    strongly reversible topologies are exactly the two trivial ones."""
-    cat = catalog(n)
-    orbits = _orbits(cat)
-    fast = [is_strongly_reversible(rep) for rep, _ in orbits]
-    verdicts = [(rep, cls, _thm31_verdict(rep, cls, f)) for (rep, cls), f in zip(orbits, fast)]
-    agreed = _agreed(verdicts)
-    strong = sum(len(cls) for (_, cls), f in zip(orbits, fast) if f)
+    strongly reversible topologies are exactly the two trivial ones, and
+    unless the transposition test finds that many, no topology agrees."""
+    strong = []     # the sizes of the orbits the transposition test passes
+
+    def check(rep, orbit):
+        fast = is_strongly_reversible(rep)
+        strong.append(len(orbit) if fast else 0)
+        return _thm31(rep, orbit, fast)
+
+    verdicts = orbit_verdicts("thm31", catalog(n), check)
     expected = 1 if n <= 1 else 2
-    detail = "; ".join(filter(None, (f"strongly_reversible={strong} expected={expected}",
-                                      _first_disagreement(verdicts))))
-    if strong != expected:
-        agreed = 0
-    return SuiteResult("thm31", agreed, len(cat.topologies), detail)
+    result = _orbit_result("thm31", verdicts,
+                           f"strongly_reversible={sum(strong)} expected={expected}")
+    return result if sum(strong) == expected else result._replace(agreed=0)
 
 
 SUITES = {

@@ -134,22 +134,55 @@ GOLDEN_STDOUT = [
 ]
 
 
-@pytest.mark.parametrize("args,digest", GOLDEN_STDOUT)
-def test_golden_stdout_n4(args, digest, capsys):
+# the same at n=5, the size the benchmark runs
+GOLDEN_STDOUT_N5 = [
+    (("classify", "--n", "5", "--format", "csv"),
+     "02137bb9782d8a619eaea376163d1f9622fee6d8ec226a3983305fc4f1bbc8a5"),
+    (("classify", "--n", "5", "--format", "json"),
+     "a3596e5b7dd0a4881f2ac724b6a2eebe45f0bb2cc1959c50444b9ee466b7c111"),
+    (("verify", "--suite", "enum,fact11,fact12,prop14,thm31", "--n", "5",
+      "--seed", "1", "--samples", "1000"),
+     "b0e895bb670b4fe6269dcd2dd5fd02e8a0bc3bf87a25e936dfe1e76dfeeb4c26"),
+]
+
+
+def assert_golden_stdout(args, digest, capsys):
     from revtop.cli import main
     assert main(list(args)) == 0
     assert sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_golden_order_files_n4(tmp_path, capsys):
+@pytest.mark.parametrize("args,digest", GOLDEN_STDOUT)
+def test_golden_stdout_n4(args, digest, capsys):
+    assert_golden_stdout(args, digest, capsys)
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_STDOUT_N5)
+def test_golden_stdout_n5(args, digest, capsys):
+    assert_golden_stdout(args, digest, capsys)
+
+
+def assert_golden_order_files(tmp_path, capsys, n, line, json_digest, dot_digest):
     from revtop.cli import main
     js, dot = tmp_path / "h.json", tmp_path / "h.dot"
-    assert main(["order", "--n", "4", "--json", str(js), "--dot", str(dot)]) == 0
-    assert capsys.readouterr().out == "n=4 nodes=33 edges=68\n"
-    assert sha256(js.read_bytes()).hexdigest() == \
-        "4db52746f2d6c8b361b8b0583c01f711093eb09227a5f1ff0a084e6c6e82faff"
-    assert sha256(dot.read_bytes()).hexdigest() == \
-        "a5e54e770a085a01bed9ee58fe75f3e7b5ddcde47f40e51f2cf81c3dedf058a7"
+    assert main(["order", "--n", str(n), "--json", str(js), "--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == line
+    assert sha256(js.read_bytes()).hexdigest() == json_digest
+    assert sha256(dot.read_bytes()).hexdigest() == dot_digest
+
+
+def test_golden_order_files_n4(tmp_path, capsys):
+    assert_golden_order_files(
+        tmp_path, capsys, 4, "n=4 nodes=33 edges=68\n",
+        "4db52746f2d6c8b361b8b0583c01f711093eb09227a5f1ff0a084e6c6e82faff",
+        "a5e54e770a085a01bed9ee58fe75f3e7b5ddcde47f40e51f2cf81c3dedf058a7")
+
+
+def test_golden_order_files_n5(tmp_path, capsys):
+    assert_golden_order_files(
+        tmp_path, capsys, 5, "n=5 nodes=139 edges=413\n",
+        "96fd9421f784c49aeb6950661282a150452032700d37ea947e072e33fac93e8e",
+        "58a30e4495a309689ce3d8b8f03eaf7d6efc8eaf6a84097b371d9deec2abad32")
 
 
 def test_verify_all_suites_pass():

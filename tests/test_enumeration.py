@@ -32,7 +32,6 @@ from revtop.topology import (
     TopologyError,
     adjoin_open,
     mask_tables,
-    opens_bitset,
     validate_topology,
 )
 
@@ -232,7 +231,7 @@ def test_catalog_matches_the_transport(n):
     topologies, reps, orbits = transported_catalog(n)
     cat = catalog(n)
     assert cat.topologies == topologies
-    assert cat.orbit_reps == reps
+    assert tuple(cat.orbits) == reps
     assert list(cat.orbits.items()) == list(orbits.items())
 
 
@@ -254,7 +253,7 @@ def test_catalog_matches_the_transport_n6(monkeypatch):
     topologies, reps, orbits = transported_catalog(6)
     cat = catalog(6)
     assert cat.topologies == topologies
-    assert cat.orbit_reps == reps
+    assert tuple(cat.orbits) == reps
     assert list(cat.orbits.items()) == list(orbits.items())
 
 
@@ -288,19 +287,9 @@ def test_extreme_preorders():
     assert topology_of_preorder(total) == FiniteTopology(2, (0, 3))
 
 
-def test_by_open_count_is_built_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(enumeration, "opens_bitset",
-                        lambda t: calls.append(t) or opens_bitset(t))
-    cat = enumerate_topologies(3)
-    groups = cat.by_open_count
-    assert len(calls) == len(cat) == 29
-    assert cat.by_open_count is groups and len(calls) == 29
-
-
 def test_orbit_partition(cat3, cat4):
     for cat, n in ((cat3, 3), (cat4, 4)):
-        sizes = cat.orbit_sizes()
+        sizes = list(map(len, cat.orbits.values()))
         assert sum(sizes) == len(cat.topologies)
         fact = 1
         for i in range(1, n + 1):
@@ -353,9 +342,9 @@ def test_canonical_preorder_separates_orbits(n):
 def test_canonical_preorder_counts_automorphisms(n):
     # orbit-stabilizer: |orbit| * |Aut| = n!
     cat = catalog(n)
-    for rep in cat.orbit_reps:
+    for rep, orbit in cat.orbits.items():
         _, _, aut = canonical_preorder(preorder_of_topology(rep))
-        assert aut * len(cat.orbits[rep]) == factorial(n), rep
+        assert aut * len(orbit) == factorial(n), rep
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -382,9 +371,9 @@ def test_canonical_preorder_n6(monkeypatch):
     monkeypatch.setenv("REVTOP_MAX_N", "6")
     cat = catalog(6)
     keys = set()
-    for rep in cat.orbit_reps:
+    for rep, orbit in cat.orbits.items():
         key, _, aut = canonical_preorder(preorder_of_topology(rep))
-        assert aut * len(cat.orbits[rep]) == 720, rep
+        assert aut * len(orbit) == 720, rep
         keys.add(key)
     assert len(keys) == cat.orbit_count == 718
 

@@ -88,7 +88,7 @@ def pair_cases(n, rep_first):
     cat = catalog(n)
     if n <= 3:
         return [(a, b) for a in cat.topologies for b in cat.topologies]
-    return [(rep, t) if rep_first else (t, rep) for rep in cat.orbit_reps for t in cat.topologies]
+    return [(rep, t) if rep_first else (t, rep) for rep in cat.orbits for t in cat.topologies]
 
 
 @pytest.mark.parametrize("n,rep_first", [(0, True), (1, True), (2, True), (3, True),
@@ -119,11 +119,11 @@ def test_direct_checks_every_automorphism(monkeypatch, n):
 
     monkeypatch.setattr(revtop.order, "preimages_open", recording)
     cat = catalog(n)
-    for rep in cat.orbit_reps:
+    for rep, orbit in cat.orbits.items():
         passed.clear()
         assert is_reversible(rep, "direct")
         automorphisms = {f for f in passed if image_opens(f, rep.opens) == rep.opens}
-        assert len(passed) == len(automorphisms) == factorial(n) // len(cat.orbits[rep]), rep
+        assert len(passed) == len(automorphisms) == factorial(n) // len(orbit), rep
 
 
 def test_antichain_compares_only_across_open_counts(monkeypatch):
@@ -302,9 +302,8 @@ def reference_order_up(n):
     adjoin_open: bit j of row i is set iff some member of orbit i is coarser
     than representative j, i.e. has no open outside it."""
     cat = catalog(n)
-    reps = cat.orbit_reps
-    outside = [~opens_bitset(b) for b in reps]
-    members = [[opens_bitset(u) for u in cat.orbits[a]] for a in reps]
+    outside = [~opens_bitset(b) for b in cat.orbits]
+    members = [[opens_bitset(u) for u in orbit] for orbit in cat.orbits.values()]
     return tuple(sum(1 << j for j, out in enumerate(outside)
                      if 0 in map(out.__and__, bits))
                  for bits in members)
@@ -340,7 +339,7 @@ def test_second_routes_at_n6(monkeypatch):
     for _ in range(2000):
         a, b = tops[rng.randrange(len(tops))], tops[rng.randrange(len(tops))]
         assert condensational_leq(a, b, "witness_map") == condensational_leq(a, b), (a, b)
-    assert all(is_reversible(rep, "direct") for rep in cat.orbit_reps)
+    assert all(is_reversible(rep, "direct") for rep in cat.orbits)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])

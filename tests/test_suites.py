@@ -1,10 +1,11 @@
-"""The orbit-first suites and the bucketed convex hull against brute force.
+"""The orbit-first suites and the convex hull walk against brute force.
 
 The per-member checks below evaluate the fact11, prop14 and thm31 claims on
 every topology on its own, with its homeomorphism class rebuilt from the
 permutations and its equivalence class from pairwise ``condensational_leq``.
 ``reference_conv_hull`` tests every catalog member against every family
-member, on frozensets.
+member, on frozensets; ``conv_hull`` reads no catalog, so the two share
+nothing.
 """
 import random
 import subprocess
@@ -24,7 +25,15 @@ from revtop.order import (
     sim_class,
 )
 from revtop.suites import SUITES, SuiteResult, orbit_verdicts
-from revtop.topology import canonical_form, homeo_class
+from revtop.topology import (
+    FiniteTopology,
+    adjoin_open,
+    antidiscrete_topology,
+    canonical_form,
+    homeo_class,
+)
+
+from conftest import needs_n5
 
 ORBIT_SUITES = ("fact11", "prop14", "thm31")
 
@@ -100,37 +109,83 @@ def test_orbit_first_matches_per_member_sample_n5(name):
 @pytest.mark.parametrize("n", range(5))
 def test_conv_hull_matches_reference_on_classes(n):
     cat = catalog(n)
-    for rep in cat.orbit_reps:
-        cls = cat.orbits[rep]
+    for cls in cat.orbits.values():
         assert conv_hull(cls) == reference_conv_hull(cls, cat)
 
 
-def test_conv_hull_matches_reference_on_random_families(cat4):
+def no_catalog(monkeypatch):
+    """Make every catalog read in revtop.order raise."""
+    import revtop.order
+
+    def forbidden(n):
+        raise AssertionError("conv_hull read the catalog")
+
+    monkeypatch.setattr(revtop.order, "catalog", forbidden)
+
+
+def test_conv_hull_matches_reference_on_random_families(cat4, monkeypatch):
     rng = random.Random(14)
-    grew = 0
+    cases = []
     for _ in range(500):
         family = rng.sample(cat4.topologies, rng.randint(1, 4))
+        cases.append((family, reference_conv_hull(family, cat4)))
+    no_catalog(monkeypatch)
+    grew = 0
+    for family, reference in cases:
         hull = conv_hull(family)
-        assert hull == reference_conv_hull(family, cat4)
+        assert hull == reference
         grew += len(hull) > len(family)
     assert grew > 100   # most hulls reach past the family itself
     assert conv_hull([]) == reference_conv_hull([], cat4) == ()
 
 
 @pytest.mark.parametrize("spread", [1, 2, 3, 5])
-def test_conv_hull_matches_reference_by_open_count_spread(cat4, spread):
+def test_conv_hull_matches_reference_by_open_count_spread(cat4, spread, monkeypatch):
     # families whose open counts take exactly `spread` values
     rng = random.Random(spread)
     by_count = {}
     for t in cat4.topologies:
         by_count.setdefault(len(t.opens), []).append(t)
-    tried = 0
-    while tried < 100:
+    cases = []
+    while len(cases) < 100:
         counts = rng.sample(sorted(by_count), spread)
         family = [rng.choice(by_count[k]) for k in counts for _ in range(rng.randint(1, 3))]
         assert len({len(t.opens) for t in family}) == spread
-        assert conv_hull(family) == reference_conv_hull(family, cat4)
-        tried += 1
+        cases.append((family, reference_conv_hull(family, cat4)))
+    no_catalog(monkeypatch)
+    for family, reference in cases:
+        assert conv_hull(family) == reference
+
+
+def test_conv_hull_beyond_any_catalog(monkeypatch):
+    # catalog(7) would hold 9,535,241 topologies, so only the walk can serve this
+    no_catalog(monkeypatch)
+    hull = conv_hull([antidiscrete_topology(7), FiniteTopology(7, (0, 1, 2, 3, 127))])
+    inner = [(), (1,), (2,), (3,), (1, 3), (2, 3), (1, 2, 3)]
+    assert hull == tuple(sorted(FiniteTopology(7, (0, *opens, 127)) for opens in inner))
+
+
+@needs_n5
+def test_conv_hull_matches_reference_on_random_families_n5(monkeypatch):
+    # a member a, one finer than a by up to three adjoined point sets, and up
+    # to two more members: random members alone are rarely nested at n = 5
+    cat = catalog(5)
+    rng = random.Random(5)
+    cases = []
+    for _ in range(100):
+        a = rng.choice(cat.topologies)
+        opens = a.opens
+        for _ in range(rng.randint(1, 3)):
+            opens = adjoin_open(opens, rng.randrange(1, 31))
+        family = [a, FiniteTopology(5, opens), *rng.sample(cat.topologies, rng.randint(0, 2))]
+        cases.append((family, reference_conv_hull(family, cat)))
+    no_catalog(monkeypatch)
+    grew = 0
+    for family, reference in cases:
+        hull = conv_hull(family)
+        assert hull == reference
+        grew += len(hull) > len(set(family))
+    assert grew > 50
 
 
 def test_fact12_names_the_first_disagreement(monkeypatch):
@@ -186,8 +241,8 @@ def test_thm31_runs_the_transposition_test_once_per_orbit(monkeypatch):
     monkeypatch.setattr(revtop.suites, "is_strongly_reversible", counted)
     result = SUITES["thm31"](4)
     assert result.ok
-    assert len(calls) == len(catalog(4).orbit_reps) == 33
-    assert sorted(calls) == sorted(catalog(4).orbit_reps)
+    assert len(calls) == len(catalog(4).orbits) == 33
+    assert sorted(calls) == sorted(catalog(4).orbits)
 
 
 def test_verify_names_the_first_disagreement(monkeypatch, capsys):
@@ -195,7 +250,7 @@ def test_verify_names_the_first_disagreement(monkeypatch, capsys):
     from revtop.cli import main
 
     cat = catalog(3)
-    bad = cat.orbit_reps[4]
+    bad = list(cat.orbits)[4]
     monkeypatch.setattr(revtop.suites, "is_weakly_reversible",
                         lambda t: (t != bad) == is_weakly_reversible(t))
     assert main(["verify", "--suite", "fact11,prop14,thm31", "--n", "3"]) == 1
@@ -229,9 +284,9 @@ if not sys.flags.optimize:
     sys.exit(99)
 cat = catalog(3)
 orbits = dict(cat.orbits)
-rep = cat.orbit_reps[-1]
+rep = list(orbits)[-1]
 orbits[rep] = orbits[rep][:-1]    # one topology no longer counted
-revtop.suites.catalog = lambda n: TopologyCatalog(n, cat.topologies, cat.orbit_reps, orbits)
+revtop.suites.catalog = lambda n: TopologyCatalog(n, cat.topologies, orbits)
 sys.exit(main(["verify", "--suite", sys.argv[1], "--n", "3"]))
 """
 
