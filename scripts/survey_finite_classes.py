@@ -36,7 +36,7 @@ def survey(n: int, dot_dir: str | None) -> None:
     start = time.time()
     cat = catalog(n)
     oracle = enumerate_topologies_by_closure(n)
-    agree = tuple(cat.topologies) == oracle
+    agree = cat.topologies == oracle
     digraph = condensational_order(n)
     strong = sum(1 for t in cat.orbits if is_strongly_reversible(t))
     weak = sum(1 for t in cat.orbits if is_weakly_reversible(t))

@@ -2,9 +2,9 @@
 
 Subcommands: enum, classify, order, verify, witness, ostar, ramsey.
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error
-(including a verification that would check nothing: an empty suite list
-or --samples below 1), 3 internal error (a self-check of a computed
-result failed).
+(including a verification that would check nothing: an empty suite list,
+--samples below 1, --iterate below 1 on witness or --k below 0 on ramsey),
+3 internal error (a self-check of a computed result failed).
 All randomized suites take --seed and produce byte-identical output for a
 fixed seed; files are written atomically.
 """
@@ -107,16 +107,16 @@ def cmd_order(args) -> int:
     return 0
 
 
-def _require_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {samples}")
+def _require(option: str, value: int, least: int = 1) -> None:
+    if value < least:
+        raise ValueError(f"{option} must be at least {least}, got {value}")
 
 
 def cmd_verify(args) -> int:
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
     if not names:
         raise ValueError(f"--suite {args.suite!r} names no suite")
-    _require_samples(args.samples)
+    _require("--samples", args.samples)
     results = run_suites(names, args.n, seed=args.seed, samples=args.samples)
     for res in results:
         sys.stdout.write(res.summary() + "\n")
@@ -127,7 +127,8 @@ def cmd_witness(args) -> int:
     from . import symbolic as sym   # the countable layer: only witness and ostar load it
     if args.kind != "ordered-z":
         raise ValueError(f"unknown witness kind {args.kind!r}")
-    if args.iterate <= 1:
+    _require("--iterate", args.iterate)
+    if args.iterate == 1:
         payload = sym.nonreversibility_witness(sym.OrderedZ(args.c)).to_json()
     else:
         chain = sym.increasing_chain(sym.OrderedZ(args.c), args.iterate)
@@ -140,7 +141,7 @@ def cmd_witness(args) -> int:
 def cmd_ostar(args) -> int:
     from . import symbolic as sym
     from .descriptors import CofiniteSet, DifferenceSet, FiniteSet, OmegaStarSet
-    _require_samples(args.samples)
+    _require("--samples", args.samples)
     rng = random.Random(args.seed)
     family = sym.ad_family(args.family_size)
     refined = sym.construct_o_star(family)
@@ -180,6 +181,7 @@ def cmd_ostar(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
+    _require("--k", args.k, least=0)     # --k 0 asks for no size
     # the text and its tokens are freed once parsed, before the extraction
     if args.input and args.input != "-":
         with open(args.input) as handle:

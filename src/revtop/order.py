@@ -223,7 +223,9 @@ def conv_hull(topologies) -> tuple[FiniteTopology, ...]:
 
 
 def is_weakly_reversible(t: FiniteTopology) -> bool:
-    """True iff the homeomorphism class of t is convex in the inclusion lattice."""
+    """True iff the homeomorphism class of t is convex in the inclusion lattice.
+    The class comes from ``catalog(t.n)`` (CapExceededError above the cap): about
+    2 s for one topology at n = 6, against milliseconds for ``homeo_class(t)``."""
     cls = _homeo_class(t)
     return conv_hull(cls) == cls
 

@@ -13,7 +13,8 @@ points: a permutation carries a topology's homeomorphism class,
 condensational equivalence class, convex hull and reversibility verdicts
 onto those of its image, so every member of an orbit gets the
 representative's answer.  The per-member loops are kept in the tests as
-the reference the orbit-first suites are compared against.
+the reference the orbit-first suites are compared against.  Only enum and
+fact12 read the catalog's ``topologies``, sorted from the orbits on each read.
 """
 from __future__ import annotations
 
@@ -53,18 +54,17 @@ def suite_enum(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """The orbit-built catalog and Close-by-One closure enumeration must
     coincide.  On a mismatch the detail names the least topology found by
     only one of the two routes."""
-    cat = catalog(n)
+    tops = catalog(n).topologies
     oracle = enumerate_topologies_by_closure(n)
-    agreed = sum(1 for a, b in zip(cat.topologies, oracle) if a == b)
-    total = max(len(cat.topologies), len(oracle))
-    detail = f"count={len(cat.topologies)}"
-    only_one = set(cat.topologies).symmetric_difference(oracle) if cat.topologies != oracle else ()
+    agreed = sum(1 for a, b in zip(tops, oracle) if a == b)
+    detail = f"count={len(tops)}"
+    only_one = set(tops).symmetric_difference(oracle) if tops != oracle else ()
     if only_one:
         first = min(only_one)
-        side = "catalog" if first in cat.topologies else "closure enumeration"
+        side = "catalog" if first in tops else "closure enumeration"
         detail += f"; first difference: opens {list(first.opens)} only in the {side}"
-    return SuiteResult("enum", agreed if len(cat.topologies) == len(oracle) else 0,
-                       total, detail)
+    return SuiteResult("enum", agreed if len(tops) == len(oracle) else 0,
+                       max(len(tops), len(oracle)), detail)
 
 
 def _fact11(rep, orbit) -> bool:
@@ -104,9 +104,9 @@ def orbit_verdicts(name: str, cat: TopologyCatalog, check=None) -> list[
 
 
 def _orbit_result(name: str, verdicts, detail: str = "") -> SuiteResult:
-    """Each verdict counts for its orbit's size; the catalog checks that the
-    sizes add up to its number of topologies.  The detail ends by naming the
-    first representative whose verdict failed."""
+    """Each verdict counts for its orbit's size, so the orbits of a catalog
+    total its number of topologies.  The detail ends by naming the first
+    representative whose verdict failed."""
     first = next((f"first disagreement: opens {list(rep.opens)}"
                   for rep, _, ok in verdicts if not ok), "")
     return SuiteResult(name, sum(len(orbit) for _, orbit, ok in verdicts if ok),
@@ -123,8 +123,7 @@ def suite_fact12(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     """The three ordering tests agree on ordered pairs (all pairs for n <= 3,
     seeded samples above that).  On a disagreement the detail names the
     first pair the tests disagree on."""
-    cat = catalog(n)
-    tops = cat.topologies
+    tops = catalog(n).topologies
     if n <= 3:
         pairs = [(a, b) for a in tops for b in tops]
     else:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conftest import needs_n6
 from revtop.enumeration import catalog
 
 RUN = [sys.executable, "-m", "revtop"]
@@ -143,6 +144,10 @@ GOLDEN_STDOUT_N5 = [
     (("verify", "--suite", "enum,fact11,fact12,prop14,thm31", "--n", "5",
       "--seed", "1", "--samples", "1000"),
      "b0e895bb670b4fe6269dcd2dd5fd02e8a0bc3bf87a25e936dfe1e76dfeeb4c26"),
+    (("enum", "--n", "5", "--format", "json"),
+     "42f8a637257cae1eb4329bb9f49ad376f0be716d2ef3b42b376a0756edbeb978"),
+    (("enum", "--n", "5"),
+     "ee073b130237e64646eab66066bcc649d8c653db50b7e1819c246ef4bf896dc7"),
 ]
 
 
@@ -183,6 +188,56 @@ def test_golden_order_files_n5(tmp_path, capsys):
         tmp_path, capsys, 5, "n=5 nodes=139 edges=413\n",
         "96fd9421f784c49aeb6950661282a150452032700d37ea947e072e33fac93e8e",
         "58a30e4495a309689ce3d8b8f03eaf7d6efc8eaf6a84097b371d9deec2abad32")
+
+
+# the same at n=6, behind REVTOP_N6=1: each command builds catalog(6)
+GOLDEN_STDOUT_N6 = [
+    (("enum", "--n", "6"),
+     "a4966827a5841bb4eeff0d6f2ef988f87d6f12fd6f4aed23d17af0b8ee490d18"),
+    (("classify", "--n", "6", "--format", "csv"),
+     "a61a80311cf74fdced2863b932700f7687122c9bbf951ec87a3f4af915cff33d"),
+]
+
+
+@needs_n6
+@pytest.mark.parametrize("args,digest", GOLDEN_STDOUT_N6)
+def test_golden_stdout_n6(args, digest, capsys, monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    assert_golden_stdout(args, digest, capsys)
+
+
+@needs_n6
+def test_golden_order_files_n6(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    assert_golden_order_files(
+        tmp_path, capsys, 6, "n=6 nodes=718 edges=2894\n",
+        "17a059cf09816b3dec1f7f8b0f01471e28829c47d0e8997760f2660f1fe39c8b",
+        "e5b4dccc4754fa3661b2b31e922238b0ec470bb612f5f1327c280b1223b2005f")
+
+
+def test_only_enum_json_and_two_suites_sort_the_members(tmp_path, monkeypatch, capsys):
+    """Every other finite command reads the orbit map alone."""
+    from revtop.cli import main
+    from revtop.enumeration import TopologyCatalog
+
+    def forbidden(cat):
+        raise RuntimeError("sorted the catalog's members")
+
+    monkeypatch.setattr(TopologyCatalog, "topologies", property(forbidden))
+    for args in (["enum", "--n", "4"],
+                 ["order", "--n", "4", "--dot", str(tmp_path / "h.dot"),
+                  "--json", str(tmp_path / "h.json")],
+                 ["classify", "--n", "4"],
+                 ["classify", "--n", "4", "--format", "csv"],
+                 ["classify", "--n", "4", "--format", "json"],
+                 ["verify", "--suite", "fact11,prop14,thm31", "--n", "4"]):
+        assert main(args) == 0, args
+    for args in (["enum", "--n", "4", "--format", "json"],
+                 ["verify", "--suite", "enum", "--n", "4"],
+                 ["verify", "--suite", "fact12", "--n", "4"]):
+        with pytest.raises(RuntimeError, match="sorted the catalog's members"):
+            main(args)
+    capsys.readouterr()
 
 
 def test_verify_all_suites_pass():
@@ -235,6 +290,10 @@ def test_verify_unknown_suite_is_usage_error(monkeypatch, capsys):
     ("verify", "--suite", "fact12", "--n", "4", "--samples", "-5"),
     ("ostar", "--check", "closure", "--samples", "-3"),
     ("ostar", "--check", "blocking", "--samples", "0"),
+    ("witness", "ordered-z", "--iterate", "0"),
+    ("witness", "ordered-z", "--iterate", "-5"),
+    ("ramsey", "--mode", "pairs", "--k", "-3"),     # a size check that can never fail
+    ("ramsey", "--mode", "injective", "--k", "-1"),
 ])
 def test_checking_nothing_is_usage_error(args):
     proc = run_cli(*args)

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from bisect import bisect_left
 from math import factorial
 
@@ -153,6 +155,29 @@ def test_overlapping_orbits_are_an_internal_error(monkeypatch, capsys):
     finally:
         enumeration.catalog.cache_clear()
     err = capsys.readouterr().err
+    assert err.startswith("internal error: the orbit of opens ")
+    assert err.endswith(" meets an orbit already built\n")
+
+
+OVERLAPPING = """
+import sys
+import revtop.topology as topology
+from revtop.cli import main
+
+if not sys.flags.optimize:
+    sys.exit(99)
+tables = topology.mask_tables(3) + ((0,) + tuple(7 ^ m for m in range(1, 7)) + (7,),)
+topology.mask_tables = lambda n: tables
+sys.exit(main(["enum", "--n", "3"]))
+"""
+
+
+def test_overlapping_orbits_survive_optimize():
+    # the complementing table above, in a process where assert statements are gone
+    proc = subprocess.run([sys.executable, "-O", "-c", OVERLAPPING],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    err = proc.stderr.decode()
     assert err.startswith("internal error: the orbit of opens ")
     assert err.endswith(" meets an orbit already built\n")
 
