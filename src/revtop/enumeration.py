@@ -23,7 +23,7 @@ n = 0..6, OEIS A000798).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, filterfalse
 
 from .topology import (
     FiniteTopology,
@@ -217,8 +217,8 @@ def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
     while stack:
         opens, base, last, inherited = stack.pop()
         failed = dict(inherited)   # holds for every descendant: they contain opens
-        for g in range(last + 1, full):
-            if g in base or not base.issuperset(inherited.get(g, ())):
+        for g in filterfalse(base.__contains__, range(last + 1, full)):
+            if (cuts := inherited.get(g)) and not base.issuperset(cuts):
                 continue
             new = _new_cuts(opens, base, g)
             if new:

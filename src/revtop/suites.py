@@ -18,7 +18,6 @@ fact12 read the catalog's ``topologies``, sorted from the orbits on each read.
 """
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 
 from .enumeration import TopologyCatalog, catalog, enumerate_topologies_by_closure
@@ -127,6 +126,7 @@ def suite_fact12(n: int, seed: int = 0, samples: int = 10000) -> SuiteResult:
     if n <= 3:
         pairs = [(a, b) for a in tops for b in tops]
     else:
+        import random
         rng = random.Random(seed)
         pairs = [(tops[rng.randrange(len(tops))], tops[rng.randrange(len(tops))])
                  for _ in range(samples)]

@@ -96,8 +96,8 @@ class FiniteTopology(namedtuple("FiniteTopology", ("n", "opens"))):
         if n < 0:
             raise TopologyError("negative ground size")
         fast = n <= HARD_POINT_CAP
-        if not (fast and opens and list(opens) == sorted(opens) and opens[0] == 0
-                and opens[-1] == full_mask(n) and _is_topology(n, opens)):
+        if not (fast and opens and opens[0] == 0 and opens[-1] == full_mask(n)
+                and list(opens) == sorted(opens) and _is_topology(n, opens)):
             _check_pairwise(n, opens)
             if fast:
                 raise AssertionError(f"the bitset check refused the topology "
@@ -123,37 +123,42 @@ class FiniteTopology(namedtuple("FiniteTopology", ("n", "opens"))):
 
 
 @lru_cache(maxsize=None)
-def _closure_tables(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _closure_tables(n: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...],
+                                     tuple[int, ...]]:
     """Bitsets over the 2^n point sets of n points (bit m stands for the
-    point set m): all of them, those containing point x for each x, and
-    sup[m], the supersets of m, built in 2^n steps by removing m's lowest
-    point."""
+    point set m): all of them; bits[m] = 1 << m, the point set m alone; for
+    each point x, the pair of those that contain x and those that do not;
+    and sup[m], the supersets of m, built in 2^n steps by removing m's
+    lowest point."""
     size = 1 << n
     every = (1 << size) - 1
+    bits = tuple(1 << m for m in range(size))
     has = tuple(sum(1 << m for m in range(size) if m >> x & 1) for x in range(n))
     sup = [every] * size
     for m in range(1, size):
         sup[m] = sup[m & (m - 1)] & has[(m & -m).bit_length() - 1]
-    return every, has, tuple(sup)
+    return every, bits, tuple((h, every ^ h) for h in has), tuple(sup)
 
 
 def _is_topology(n: int, ops: tuple[int, ...]) -> bool:
-    """Is a strictly sorted family of point sets in range, with the empty and
-    full sets, closed under union and intersection?  Exact in O(n) bitset
-    operations: with c_x the least open (as an int) containing x, the point
-    sets m with c_x inside m for every x in m form a topology, the up-sets
-    of x -> c_x.  A topology equals that family, since its least open around
-    x is the minimal neighbourhood of x and it holds exactly the up-sets of
-    its specialization preorder (Alexandroff 1937); a family that is not a
-    topology cannot equal it."""
-    every, has, sup = _closure_tables(n)
-    family = sum(map((1).__lshift__, ops))
+    """Is a sorted family of point sets, from the empty set to the full set,
+    free of repeats and closed under union and intersection?  Exact in O(n)
+    bitset operations: with c_x the least open (as an int) containing x, the
+    point sets m with c_x inside m for every x in m form a topology, the
+    up-sets of x -> c_x.  A topology equals that family, since its least
+    open around x is the minimal neighbourhood of x and it holds exactly the
+    up-sets of its specialization preorder (Alexandroff 1937); a family that
+    is not a topology cannot equal it."""
+    every, bits, points, sup = _closure_tables(n)
+    # the family as one bitset; the extra index 0 keeps itemgetter's result a
+    # tuple when there is one open, and its bits[0] = 1 is taken off
+    family = sum(itemgetter(0, *ops)(bits)) - 1
     if family.bit_count() != len(ops):        # a repeated open
         return False
     ups = every
-    for h in has:
-        around = family & h
-        ups &= (every ^ h) | sup[(around & -around).bit_length() - 1]
+    for has, lacks in points:
+        around = family & has
+        ups &= lacks | sup[(around & -around).bit_length() - 1]
     return family == ups
 
 

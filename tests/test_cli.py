@@ -27,22 +27,46 @@ def test_parser_leaves_the_countable_layer_unloaded():
     assert proc.stdout == b"[]\n"
 
 
-def test_parser_imports_no_dataclasses():
-    """Neither the parser nor the countable layer loads dataclasses (or the
-    inspect it imports), and tempfile waits for a file to write.  Site
-    packages play no part: python -S, with src put on sys.path by hand."""
+def run_bare(code: str):
+    """Run code in a fresh python -S, so that site packages play no part and
+    load nothing, with src put on sys.path by hand and sys imported."""
     import revtop
     src = os.path.dirname(os.path.dirname(os.path.abspath(revtop.__file__)))
-    code = ("import sys\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "import revtop.cli\n"
-            "revtop.cli.build_parser()\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'tempfile') if m in sys.modules))\n"
-            "import revtop.symbolic\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, "-S", "-c",
+                           f"import sys\nsys.path.insert(0, {src!r})\n" + code],
+                          capture_output=True, timeout=60)
+
+
+def test_parser_imports_no_dataclasses():
+    """Neither the parser nor the countable layer loads dataclasses (or the
+    inspect it imports); tempfile waits for a file to write, json for output
+    to serialise and random for a command that samples."""
+    proc = run_bare("import revtop.cli\n"
+                    "revtop.cli.build_parser()\n"
+                    "print(sorted(m for m in ('dataclasses', 'inspect', 'json', 'random',\n"
+                    "                         'tempfile') if m in sys.modules))\n"
+                    "import revtop.symbolic\n"
+                    "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n[]\n"
+
+
+def test_text_output_leaves_json_unloaded():
+    # enum and verify print text without loading json; the first json output
+    # loads it and prints the bytes recorded while json was loaded up front
+    proc = run_bare("from revtop.cli import main\n"
+                    "main(['enum', '--n', '3'])\n"
+                    "main(['verify', '--suite', 'enum,thm31', '--n', '3'])\n"
+                    "print('json' in sys.modules)\n"
+                    "main(['enum', '--n', '3', '--format', 'json'])\n")
+    assert proc.returncode == 0, proc.stderr
+    head = (b"n=3 topologies=29 orbits=9\n"
+            b"enum: 29/29 agree (count=29)\n"
+            b"thm31: 29/29 agree (strongly_reversible=2 expected=2)\n"
+            b"False\n")
+    assert proc.stdout.startswith(head)
+    assert sha256(proc.stdout[len(head):]).hexdigest() == (
+        "9a3102757886bd215b96ec90f6828c3eea56198b0efa4632b09359f9f3144b01")
 
 
 def test_enum_summary():
@@ -310,6 +334,9 @@ def test_usage_errors():
     proc = run_cli("enum", "--n", "9")
     assert proc.returncode == 2  # over the configured cap
     assert b"cap" in proc.stderr
+    proc = run_cli("witness", "bogus")
+    assert proc.returncode == 2  # refused by the parser's choices
+    assert proc.stdout == b""
 
 
 def test_witness_json_shape():

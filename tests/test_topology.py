@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import subprocess
 import sys
 from functools import reduce
@@ -76,6 +77,27 @@ def test_constructor_matches_the_pairwise_definition(n):
         except TopologyError as exc:
             verdict = type(exc), getattr(exc, "witness", None)
         assert verdict == closure_fault(n, ops), ops
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_constructor_matches_the_definition_unsorted(n):
+    # every family on n points in a shuffled order, and sorted with each of
+    # its opens repeated in place, which passes the order check and reaches
+    # the bitset check: a family that is not strictly sorted is refused as
+    # such, with no witness, and any other gets closure_fault's verdict
+    rng = random.Random(n)
+    size = 1 << n
+    for family in range(1 << size):
+        ops = [m for m in range(size) if family >> m & 1]
+        repeated = [tuple(ops[:i] + ops[i - 1:]) for i in range(1, len(ops) + 1)]
+        for case in [tuple(rng.sample(ops, len(ops))), *repeated]:
+            try:
+                FiniteTopology(n, case)
+                verdict = None
+            except TopologyError as exc:
+                verdict = type(exc), getattr(exc, "witness", None)
+            unsorted = any(a >= b for a, b in zip(case, case[1:]))
+            assert verdict == ((TopologyError, None) if unsorted else closure_fault(n, case)), case
 
 
 def test_constructor_edges():
