@@ -11,14 +11,12 @@ orbit (Brinkmann & McKay, J. Integer Sequences 8, 2005).
 The cross-check is closure enumeration, which builds each topology once,
 from the antidiscrete one, by adjoining point sets in increasing order and
 closing: Close-by-One (Kuznetsov 1993) with the failure inheritance of FCbO
-(Outrata & Vychodil, Inf. Sci. 185, 2012), which skips a closure already
-known to fail its canonicity test.  The test reads only the cuts b & g of
-the opens by the new point set g, linear in the number of opens: a cut that
-is neither open nor g is a new open below g, and without one the closure
-adds only opens containing g, so a failing closure is never built.  FCbO
-records those new cuts.  It reads neither preorders nor the catalog.  Both
-must produce identical catalogs (1, 1, 4, 29, 355, 6942, 209527 for
-n = 0..6, OEIS A000798).
+(Outrata & Vychodil, Inf. Sci. 185, 2012).  The canonicity test of a point
+set g reads only the cuts b & g of the opens, so a failing closure is never
+built, and FCbO records the set of generators that failed: each fails again
+in every descendant that reaches it.  It reads neither preorders nor the
+catalog.  Both must produce identical catalogs (1, 1, 4, 29, 355, 6942,
+209527 for n = 0..6, OEIS A000798).
 """
 from __future__ import annotations
 
@@ -171,12 +169,10 @@ def canonical_preorder(up) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return key, labelling, sum(weight for leaf, _, weight in found if leaf == key)
 
 
-def _new_cuts(opens, base: set[int], g: int) -> set[int]:
-    """The cuts b & g of the opens b that are neither open nor g itself: the
-    opens that adjoining g adds below g, empty iff the canonicity test passes."""
-    new = {b & g for b in opens} - base
-    new.discard(g)
-    return new
+def _adds_below(opens, base: set[int], g: int) -> bool:
+    """Whether the canonicity test fails: some cut b & g of the opens is
+    neither open nor g, a new open below g.  Stops at the first such cut."""
+    return not base.issuperset(filter(g.__ne__, map(g.__and__, opens)))
 
 
 def _adjoin_above(opens, base: set[int], g: int) -> set[int]:
@@ -195,34 +191,37 @@ def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
     which is kept only if it adds no open below g.  Every topology is then
     reached exactly once, from the antidiscrete one, so no seen-set is needed
     (Kuznetsov 1993; Ganter, LNCS 5986, 2010).  The test is linear in |T|
-    (:func:`_new_cuts`): a cut b & g that is neither open nor g is a proper
+    (:func:`_adds_below`): a cut b & g that is neither open nor g is a proper
     subset of g, so a new open below g; if every cut is open or g, the
     closure is T together with the unions a | g, each of them at least g, and
     that is the child (:func:`_adjoin_above`).  A failing closure is never
     built.
 
-    A failed test records its new cuts, and every descendant D that lacks one
-    of them skips g untested (FCbO: Outrata & Vychodil, Inf. Sci. 185, 2012):
-    D contains T, so a new cut b & g is a cut of D too, neither open in D nor
-    g, and D's test would fail.  These are the skips of FCbO recording the
-    whole closure below g: every open the failed closure adds below g is
-    a | c with a in T and c a new cut, and D is closed under unions, so D
-    lacks one of those opens iff it lacks a new cut.  The stack is explicit
-    because the depth reaches 2^n - 2.  Sorted like the catalog."""
+    A failed test records g, and each descendant D that reaches g skips it
+    untested (FCbO: Outrata & Vychodil, Inf. Sci. 185, 2012).  D contains T,
+    so each new cut of T is a cut of D, and D fails at g unless it holds them
+    all.  It holds none.  Every open of T is ``full`` or a union of T's path
+    generators (adjoined to reach T), each at most ``last``.  Suppose D held
+    a new cut c = b & g of T, with b a union of path generators p.  Each
+    p & g = p & c is then in D.  Their union c is not open in T, so some
+    p & g is not open in T either.  It is a proper subset of p, so it is less
+    than p, which is at most ``last``.  Every open that D adds to T contains
+    a generator greater than ``last``, so it is greater than ``last``.  So
+    p & g is not in D, a contradiction.  The stack is explicit because the
+    depth reaches 2^n - 2.  Sorted like the catalog."""
     check_ground(n)
     full = full_mask(n)
     start = antidiscrete_topology(n).opens
     found = [start]
-    stack = [(start, set(start), 0, {})]
+    stack = [(start, set(start), 0, frozenset())]
     while stack:
-        opens, base, last, inherited = stack.pop()
-        failed = dict(inherited)   # holds for every descendant: they contain opens
+        opens, base, last, skip = stack.pop()
+        failed = set(skip)     # holds for every descendant: they contain opens
         for g in filterfalse(base.__contains__, range(last + 1, full)):
-            if (cuts := inherited.get(g)) and not base.issuperset(cuts):
+            if g in skip:
                 continue
-            new = _new_cuts(opens, base, g)
-            if new:
-                failed[g] = new
+            if _adds_below(opens, base, g):
+                failed.add(g)
             else:
                 child = _adjoin_above(opens, base, g)
                 found.append(tuple(sorted(child)))

@@ -314,6 +314,8 @@ def test_verify_unknown_suite_is_usage_error(monkeypatch, capsys):
     ("verify", "--suite", "fact12", "--n", "4", "--samples", "-5"),
     ("ostar", "--check", "closure", "--samples", "-3"),
     ("ostar", "--check", "blocking", "--samples", "0"),
+    ("ostar", "--check", "closure", "--family-size", "0"),
+    ("ostar", "--check", "blocking", "--family-size", "-3"),
     ("witness", "ordered-z", "--iterate", "0"),
     ("witness", "ordered-z", "--iterate", "-5"),
     ("ramsey", "--mode", "pairs", "--k", "-3"),     # a size check that can never fail

@@ -74,9 +74,9 @@ def test_closure_route_prunes_by_inherited_failures(monkeypatch):
     # one canonicity test per candidate the inherited failures do not skip;
     # Close-by-One without them makes 956 at n=4 and 36,812 at n=5
     calls = []
-    new_cuts = enumeration._new_cuts
-    monkeypatch.setattr(enumeration, "_new_cuts",
-                        lambda opens, base, g: calls.append(g) or new_cuts(opens, base, g))
+    adds_below = enumeration._adds_below
+    monkeypatch.setattr(enumeration, "_adds_below",
+                        lambda opens, base, g: calls.append(g) or adds_below(opens, base, g))
     for n, tests in {2: 3, 3: 36, 4: 591, 5: 14422}.items():
         calls.clear()
         assert len(enumeration.enumerate_topologies_by_closure(n)) == KNOWN_COUNTS[n]
@@ -86,7 +86,8 @@ def test_closure_route_prunes_by_inherited_failures(monkeypatch):
 @pytest.mark.parametrize("n", range(5))
 def test_linear_canonicity_test_matches_the_closure(n):
     # the closure route's verdict and child against the full closure: the
-    # child adds no open below g iff both have as many opens below g
+    # child adds no open below g iff both have as many opens below g; the
+    # verdict reads the opens only up to the first cut neither open nor g
     for t in brute_force_topologies(n):
         base = set(t.opens)
         for g in range(1, t.full):
@@ -94,29 +95,60 @@ def test_linear_canonicity_test_matches_the_closure(n):
                 continue
             closed = adjoin_open(t.opens, g)
             canonical = bisect_left(closed, g) == bisect_left(t.opens, g)
-            new = enumeration._new_cuts(t.opens, base, g)
-            assert (not new) == canonical, (t.opens, g)
+            read = []
+            fails = enumeration._adds_below((read.append(b) or b for b in t.opens), base, g)
+            assert fails != canonical, (t.opens, g)
+            first = next((i for i, b in enumerate(t.opens) if b & g not in base | {g}), None)
+            assert len(read) == (len(t.opens) if first is None else first + 1), (t.opens, g)
             if canonical:
                 assert tuple(sorted(enumeration._adjoin_above(t.opens, base, g))) == closed
 
 
-@pytest.mark.parametrize("n", range(4))
-def test_new_cuts_decide_the_fcbo_skip(n):
-    # a topology D containing T lacks one of the closure's opens below g iff
-    # it lacks one of the new cuts, so recording the cuts skips the same
-    # candidates as recording the whole closure below g
-    tops = brute_force_topologies(n)
-    for t in tops:
-        base = set(t.opens)
-        above = [set(d.opens) for d in tops if base.issubset(d.opens)]
-        for g in range(1, t.full):
+def failures_in_descendants(n):
+    """Close-by-One without skips, every verdict and child from the full
+    closure, each node carrying its ancestors' failed generators with their
+    new cuts (the closure's opens inside g that are neither open nor g).
+    Asserts that each recorded generator fails again at every descendant that
+    reaches it and that no descendant holds a recorded cut.  Returns the
+    number of topologies, of canonicity tests and of tests a record would
+    skip."""
+    full = (1 << n) - 1
+    found = tests = skips = 0
+    stack = [(topology.antidiscrete_topology(n).opens, 0, {})]
+    while stack:
+        opens, last, inherited = stack.pop()
+        found += 1
+        base = set(opens)
+        for g, cuts in inherited.items():
+            assert base.isdisjoint(cuts), (opens, g, sorted(cuts))
+        failed = dict(inherited)
+        for g in range(last + 1, full):
             if g in base:
                 continue
-            closed = adjoin_open(t.opens, g)
-            below = closed[:bisect_left(closed, g)]
-            new = enumeration._new_cuts(t.opens, base, g)
-            for d in above:
-                assert d.issuperset(new) == d.issuperset(below), (t.opens, g, sorted(d))
+            tests += 1
+            closed = adjoin_open(opens, g)
+            fails = bisect_left(closed, g) > bisect_left(opens, g)
+            if g in inherited:
+                skips += 1
+                assert fails, (opens, g)
+            if fails:
+                new = {o for o in closed if o & g == o} - base - {g}
+                assert new, (opens, g)
+                failed[g] = failed.get(g, frozenset()) | new
+            else:
+                stack.append((closed, g, failed))
+    return found, tests, skips
+
+
+# canonicity tests of Close-by-One without skips, and those FCbO leaves
+UNSKIPPED = {0: (0, 0), 1: (0, 0), 2: (3, 3), 3: (41, 36), 4: (956, 591), 5: (36812, 14422)}
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_failed_generators_fail_in_every_descendant(n):
+    found, tests, skips = failures_in_descendants(n)
+    assert found == KNOWN_COUNTS[n]
+    assert (tests, tests - skips) == UNSKIPPED[n]
 
 
 def test_catalog_fault_is_an_internal_error(monkeypatch, capsys):
@@ -264,13 +296,20 @@ def test_catalog_matches_the_transport(n):
 def test_both_enumerators_agree_n6(monkeypatch):
     monkeypatch.setenv("REVTOP_MAX_N", "6")
     calls = []
-    new_cuts = enumeration._new_cuts
-    monkeypatch.setattr(enumeration, "_new_cuts",
-                        lambda opens, base, g: calls.append(g) or new_cuts(opens, base, g))
+    adds_below = enumeration._adds_below
+    monkeypatch.setattr(enumeration, "_adds_below",
+                        lambda opens, base, g: calls.append(g) or adds_below(opens, base, g))
     oracle = enumerate_topologies_by_closure(6)
     assert len(oracle) == 209527        # OEIS A000798
     assert len(calls) == 540406         # canonicity tests the inherited failures leave
     assert oracle == catalog(6).topologies
+
+
+@needs_n6
+def test_failed_generators_fail_in_every_descendant_n6():
+    found, tests, skips = failures_in_descendants(6)
+    assert found == 209527         # OEIS A000798
+    assert (tests, tests - skips) == (2199257, 540406)
 
 
 @needs_n6
