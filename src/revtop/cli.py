@@ -3,7 +3,8 @@
 Subcommands: enum, classify, order, verify, witness, ostar, ramsey.
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error
 (including a verification that would check nothing: an empty suite list,
---samples below 1, --iterate below 1 on witness or --k below 0 on ramsey),
+--samples below 1, --iterate below 1 on witness, --k below 0 on ramsey, or
+on ramsey --mode increasing --k below 1 or --fuel below --k),
 3 internal error (a self-check of a computed result failed).
 All randomized suites take --seed and produce byte-identical output for a
 fixed seed; files are written atomically.
@@ -179,7 +180,11 @@ def cmd_ostar(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
-    _require("--k", args.k, least=0)     # --k 0 asks for no size
+    if args.mode == "increasing":       # it seeks --k values among the first --fuel
+        _require("--k", args.k)
+        _require("--fuel", args.fuel, least=args.k)
+    else:
+        _require("--k", args.k, least=0)     # --k 0 asks for no size
     # the text and its tokens are freed once parsed, before the extraction
     if args.input and args.input != "-":
         with open(args.input) as handle:

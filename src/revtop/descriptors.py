@@ -100,11 +100,6 @@ class Word(TypedValue, namedtuple("Word", ("prefix", "period"))):
             pre = pre[:-1]
         return tuple.__new__(cls, (pre, per))
 
-    def at(self, i: int) -> str:
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.period[(i - len(self.prefix)) % len(self.period)]
-
     def bits(self, k: int) -> str:
         if k <= len(self.prefix):
             return self.prefix[:k]
@@ -190,18 +185,6 @@ class CofiniteSet(TypedValue, namedtuple("CofiniteSet", ("excluded",)), SetDescr
 
 class BranchSet(TypedValue, namedtuple("BranchSet", ("word",)), SetDescriptor):
     """{code(w restricted to length l) : l >= 1} for an infinite Word w."""
-
-    __slots__ = ()
-
-
-class UnionSet(TypedValue, namedtuple("UnionSet", ("parts",)), SetDescriptor):
-    """The union of a tuple of descriptors."""
-
-    __slots__ = ()
-
-
-class IntersectionSet(TypedValue, namedtuple("IntersectionSet", ("parts",)), SetDescriptor):
-    """The intersection of a tuple of descriptors; of none, all naturals."""
 
     __slots__ = ()
 
@@ -323,18 +306,6 @@ def nf(d: SetDescriptor) -> NormalForm:
         return nf_complement(_finite_nf(d.excluded))
     if isinstance(d, BranchSet):
         return NormalForm(False, (d.word,), frozenset(), frozenset())
-    if isinstance(d, UnionSet):
-        acc = _finite_nf(())
-        for part in d.parts:
-            acc = nf_union(acc, nf(part))
-        return acc
-    if isinstance(d, IntersectionSet):
-        if not d.parts:
-            return nf_complement(_finite_nf(()))
-        acc = nf(d.parts[0])
-        for part in d.parts[1:]:
-            acc = nf_intersection(acc, nf(part))
-        return acc
     if isinstance(d, DifferenceSet):
         return nf_difference(nf(d.left), nf(d.right))
     raise UnsupportedDescriptorError(f"not a descriptor over the naturals: {d!r}")
@@ -495,10 +466,6 @@ def descriptor_to_json(d) -> dict:
         return {"tag": "cofinite", "excluded": list(d.excluded)}
     if isinstance(d, BranchSet):
         return {"tag": "branch", "word": d.word.to_json()}
-    if isinstance(d, UnionSet):
-        return {"tag": "union", "parts": [descriptor_to_json(p) for p in d.parts]}
-    if isinstance(d, IntersectionSet):
-        return {"tag": "intersection", "parts": [descriptor_to_json(p) for p in d.parts]}
     if isinstance(d, DifferenceSet):
         return {"tag": "difference", "left": descriptor_to_json(d.left),
                 "right": descriptor_to_json(d.right)}
@@ -536,10 +503,6 @@ def _omega_from_json(data: dict) -> SetDescriptor:
         return CofiniteSet(tuple(data["excluded"]))
     if tag == "branch":
         return BranchSet(Word.from_json(data["word"]))
-    if tag == "union":
-        return UnionSet(tuple(_omega_from_json(p) for p in data["parts"]))
-    if tag == "intersection":
-        return IntersectionSet(tuple(_omega_from_json(p) for p in data["parts"]))
     if tag == "difference":
         return DifferenceSet(_omega_from_json(data["left"]), _omega_from_json(data["right"]))
     if tag == "normal":

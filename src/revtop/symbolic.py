@@ -335,18 +335,6 @@ def construct_o_star(family: ADFamily) -> Refined:
     return Refined(family)
 
 
-def f_m_closed_check(m_descriptor: SetDescriptor, topology: ConvSeq | None = None) -> bool:
-    """Is the tail set along an infinite index set, together with the limit
-    point, closed?  In the convergent-sequence space the complement is a
-    plain set of naturals, hence open; the check computes exactly that."""
-    topology = topology if topology is not None else ConvSeq()
-    x = nf(m_descriptor)
-    if x.is_finite():
-        raise ValueError("index set must be infinite")
-    complement = OmegaStarSet(nf_complement(x), star=False)
-    return member_open(complement, topology)
-
-
 class ClosureWitness(TypedValue, namedtuple("ClosureWitness",
                                             ("family", "blocked", "neighborhood", "beta",
                                              "element"))):

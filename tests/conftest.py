@@ -16,11 +16,6 @@ from revtop.topology import (
     orbit_opens,
 )
 
-RUN_N5 = os.environ.get("REVTOP_N5", "") not in ("", "0")
-
-needs_n5 = pytest.mark.skipif(
-    not RUN_N5, reason="n=5 suites are gated behind REVTOP_N5=1")
-
 RUN_N6 = os.environ.get("REVTOP_N6", "") not in ("", "0")
 
 needs_n6 = pytest.mark.skipif(

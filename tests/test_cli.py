@@ -328,6 +328,18 @@ def test_checking_nothing_is_usage_error(args):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("args,option", [
+    ((), b"--k"),                                  # the default --k 0
+    (("--k", "5", "--fuel", "3"), b"--fuel"),
+])
+def test_ramsey_increasing_sizes_are_checked_before_reading(tmp_path, args, option):
+    # the input file does not exist, so only a check made before reading
+    # can name the option
+    proc = run_cli("ramsey", "--mode", "increasing", *args, str(tmp_path / "missing.txt"))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: " + option + b" must be at least ")
+
+
 def test_usage_errors():
     proc = run_cli("no-such-command")
     assert proc.returncode == 2

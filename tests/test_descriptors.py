@@ -1,3 +1,6 @@
+from collections import namedtuple
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +17,9 @@ from revtop.descriptors import (
     EmptyZ,
     FiniteSet,
     FinSupportPerm,
-    IntersectionSet,
     OmegaStarSet,
     OpenLeftZ,
     ShiftZ,
-    UnionSet,
     UnsupportedDescriptorError,
     Word,
     branch_codes,
@@ -28,8 +29,11 @@ from revtop.descriptors import (
     image_z,
     nf,
     nf_complement,
+    nf_difference,
     nf_enumerate,
+    nf_intersection,
     nf_member,
+    nf_union,
     omega_descriptor_from_json,
     shared_codes,
     word_contains,
@@ -41,27 +45,38 @@ from revtop.symbolic import image_descriptor
 WINDOW = range(0, 130)
 
 
+class Op(namedtuple("Op", ("name", "parts"))):
+    """A test-local operation tree: the union or intersection of its parts,
+    or the difference of its two parts, left to right."""
+
+
+SET_OPS = {"union": set.union, "intersection": set.intersection,
+           "difference": set.difference}
+NF_OPS = {"union": nf_union, "intersection": nf_intersection,
+          "difference": nf_difference}
+
+
 def eval_omega(d, window=WINDOW):
-    """Independent brute-force evaluation of a descriptor over a window."""
+    """Independent brute-force evaluation of a descriptor or tree over a window."""
+    if isinstance(d, Op):
+        return reduce(SET_OPS[d.name], (eval_omega(p, window) for p in d.parts))
     if isinstance(d, FiniteSet):
         return {k for k in window if k in d.elements}
     if isinstance(d, CofiniteSet):
         return {k for k in window if k not in d.excluded}
     if isinstance(d, BranchSet):
         return {k for k in window if word_contains(d.word, k)}
-    if isinstance(d, UnionSet):
-        out = set()
-        for p in d.parts:
-            out |= eval_omega(p, window)
-        return out
-    if isinstance(d, IntersectionSet):
-        out = set(window)
-        for p in d.parts:
-            out &= eval_omega(p, window)
-        return out
     if isinstance(d, DifferenceSet):
         return eval_omega(d.left, window) - eval_omega(d.right, window)
     raise AssertionError(d)
+
+
+def fold(d):
+    """Normal form of a descriptor or tree, folding each operation through
+    the normal-form algebra."""
+    if isinstance(d, Op):
+        return reduce(NF_OPS[d.name], map(fold, d.parts))
+    return nf(d)
 
 
 # --- eventually periodic words ---------------------------------------------
@@ -73,10 +88,10 @@ def test_word_normalization():
     assert Word("", "0") != Word("", "1")
 
 
-def test_word_bits_and_at():
+def test_word_bits():
     w = Word("0", "10")
-    assert w.bits(6) == "010101"[:6]
-    assert [w.at(i) for i in range(5)] == ["0", "1", "0", "1", "0"]
+    assert w.bits(6) == "010101"
+    assert [w.bits(i) for i in range(3)] == ["", "0", "01"]
 
 
 def test_word_rejects_bad_alphabet():
@@ -98,7 +113,7 @@ def test_word_lcp():
 @settings(max_examples=200, deadline=None)
 def test_word_equality_matches_denotation(p1, q1, p2, q2):
     w, v = Word(p1, q1), Word(p2, q2)
-    same_denotation = all(w.at(i) == v.at(i) for i in range(16))
+    same_denotation = w.bits(16) == v.bits(16)
     assert (w == v) == same_denotation
 
 
@@ -138,16 +153,19 @@ def leaf_descriptors():
     cofinite = st.builds(lambda xs: CofiniteSet(tuple(xs)),
                          st.lists(st.integers(0, 40), max_size=4))
     branch = st.builds(BranchSet, small_words())
-    return st.one_of(finite, cofinite, branch)
+    plain = st.one_of(finite, cofinite, branch)
+    # a DifferenceSet leaf, which nf normalizes by itself
+    return st.one_of(plain, st.builds(DifferenceSet, plain, plain))
 
 
 def descriptors():
+    """Operation trees over descriptor leaves; fold gives their normal forms."""
     return st.recursive(
         leaf_descriptors(),
         lambda children: st.one_of(
-            st.builds(lambda ps: UnionSet(tuple(ps)), st.lists(children, min_size=1, max_size=3)),
-            st.builds(lambda ps: IntersectionSet(tuple(ps)), st.lists(children, min_size=1, max_size=3)),
-            st.builds(DifferenceSet, children, children),
+            st.builds(Op, st.sampled_from(("union", "intersection")),
+                      st.lists(children, min_size=1, max_size=3).map(tuple)),
+            st.builds(lambda a, b: Op("difference", (a, b)), children, children),
         ),
         max_leaves=6)
 
@@ -155,7 +173,7 @@ def descriptors():
 @given(descriptors())
 @settings(max_examples=300, deadline=None)
 def test_normal_form_membership_homomorphism(d):
-    x = nf(d)
+    x = fold(d)
     expected = eval_omega(d)
     got = {k for k in WINDOW if nf_member(x, k)}
     assert got == expected
@@ -165,10 +183,10 @@ def test_normal_form_membership_homomorphism(d):
 @given(descriptors(), descriptors())
 @settings(max_examples=150, deadline=None)
 def test_de_morgan_on_normal_forms(a, b):
-    union = nf(UnionSet((a, b)))
-    inter = nf(IntersectionSet((a, b)))
-    assert nf_complement(union) == nf(IntersectionSet(
-        (DifferenceSet(CofiniteSet(()), a), DifferenceSet(CofiniteSet(()), b))))
+    x, y = fold(a), fold(b)
+    union, inter = nf_union(x, y), nf_intersection(x, y)
+    assert nf_complement(union) == nf_intersection(nf_complement(x), nf_complement(y))
+    assert nf_complement(inter) == nf_union(nf_complement(x), nf_complement(y))
     assert nf_complement(nf_complement(inter)) == inter
 
 
@@ -176,32 +194,33 @@ def test_de_morgan_on_normal_forms(a, b):
 @settings(max_examples=150, deadline=None)
 def test_normal_form_is_canonical(a, b, c):
     # one set gets one normal form, whichever expression builds it
-    omega = CofiniteSet(())
-    assert nf(UnionSet((a, b))) == nf(UnionSet((b, a)))
-    assert nf(IntersectionSet((a, b))) == nf(IntersectionSet((b, a)))
-    assert nf(IntersectionSet((UnionSet((a, b)), c))) == nf(
-        UnionSet((IntersectionSet((a, c)), IntersectionSet((b, c)))))
-    assert nf(DifferenceSet(a, b)) == nf(IntersectionSet((a, DifferenceSet(omega, b))))
-    assert nf(UnionSet((a, IntersectionSet((a, b))))) == nf(a)
+    x, y, z = fold(a), fold(b), fold(c)
+    assert nf_union(x, y) == nf_union(y, x)
+    assert nf_intersection(x, y) == nf_intersection(y, x)
+    assert nf_intersection(nf_union(x, y), z) == nf_union(
+        nf_intersection(x, z), nf_intersection(y, z))
+    assert nf_difference(x, y) == nf_intersection(x, nf_complement(y))
+    assert nf_union(x, nf_intersection(x, y)) == x
+    assert nf_intersection(x, nf_union(x, y)) == x
 
 
 def test_normal_form_canonical_identities():
-    b = BranchSet(Word("", "01"))
-    assert nf(UnionSet((b, DifferenceSet(CofiniteSet(()), b)))) == nf(CofiniteSet(()))
+    b = nf(BranchSet(Word("", "01")))
+    assert nf_union(b, nf(DifferenceSet(CofiniteSet(()), b))) == nf(CofiniteSet(()))
     assert nf(DifferenceSet(b, b)) == nf(FiniteSet(()))
-    assert nf(IntersectionSet((b, b))) == nf(b)
-    two_words = UnionSet((BranchSet(Word("", "0")), BranchSet(Word("", "1"))))
+    assert nf_intersection(b, b) == b
+    two_words = nf_union(nf(BranchSet(Word("", "0"))), nf(BranchSet(Word("", "1"))))
     # "01" shares only the code of "0" with the zero branch and nothing with
     # the ones branch, so the overlap collapses to a finite set
-    crossing = nf(IntersectionSet((two_words, b)))
+    crossing = nf_intersection(two_words, b)
     assert crossing.kind == "finite" and crossing.plus == {2}
-    assert nf(IntersectionSet((two_words, BranchSet(Word("", "0"))))).kind == "branches"
+    assert nf_intersection(two_words, nf(BranchSet(Word("", "0")))).kind == "branches"
 
 
 @given(descriptors())
 @settings(max_examples=100, deadline=None)
 def test_enumeration_is_sorted_and_correct(d):
-    x = nf(d)
+    x = fold(d)
     listed = nf_enumerate(x, 12)
     assert list(listed) == sorted(listed)
     expected = sorted(eval_omega(d, range(0, 2100)))[:len(listed)]
@@ -270,7 +289,7 @@ def test_shift_algebra():
 @settings(max_examples=150, deadline=None)
 def test_image_under_finite_support_permutation(d, img)  :
     f = FinSupportPerm(tuple((i, img[i]) for i in range(6)))
-    x = image_nf_omega(f, nf(d))
+    x = image_nf_omega(f, fold(d))
     expected = {f.apply(k) for k in eval_omega(d)}
     window_expected = {k for k in WINDOW if k in expected}
     got = {k for k in WINDOW if nf_member(x, k)}
@@ -279,8 +298,9 @@ def test_image_under_finite_support_permutation(d, img)  :
 
 def test_json_round_trips():
     samples = [FiniteSet((1, 2)), CofiniteSet((0,)), BranchSet(Word("0", "1")),
-               UnionSet((FiniteSet((1,)), BranchSet(Word("", "01")))),
-               DifferenceSet(CofiniteSet(()), BranchSet(Word("", "0")))]
+               DifferenceSet(CofiniteSet(()), BranchSet(Word("", "0"))),
+               DifferenceSet(DifferenceSet(CofiniteSet((1,)), BranchSet(Word("", "01"))),
+                             FiniteSet((4,)))]
     for d in samples:
         assert omega_descriptor_from_json(descriptor_to_json(d)) == d
     z_samples = [EmptyZ(), AllZ(), ClosedLeftZ(5), OpenLeftZ(-1)]
@@ -303,7 +323,7 @@ def test_normal_form_json_round_trip():
 @given(descriptors())
 @settings(max_examples=300, deadline=None)
 def test_normal_forms_round_trip_through_json(d):
-    x = nf(d)
+    x = fold(d)
     assert omega_descriptor_from_json(descriptor_to_json(x)) == x
 
 
@@ -323,7 +343,7 @@ def test_normal_form_reader_refuses_other_forms(words, plus, minus):
 def test_withstar_round_trips():
     samples = [OmegaStarSet(CofiniteSet((0, 4)), star=True),
                OmegaStarSet(BranchSet(Word("", "01")), star=False),
-               OmegaStarSet(UnionSet((FiniteSet((1,)), BranchSet(Word("", "0")))), star=True)]
+               OmegaStarSet(DifferenceSet(BranchSet(Word("", "0")), FiniteSet((2,))), star=True)]
     for d in samples:
         data = descriptor_to_json(d)
         assert data["tag"] == "withstar"
@@ -332,12 +352,23 @@ def test_withstar_round_trips():
 
 def test_withstar_only_at_the_top_level():
     inner = descriptor_to_json(OmegaStarSet(FiniteSet((1,)), star=True))
-    for data in ({"tag": "union", "parts": [inner]},
+    for data in ({"tag": "difference", "left": inner, "right": {"tag": "finite", "elements": []}},
                  {"tag": "difference", "left": {"tag": "cofinite", "excluded": []},
                   "right": inner},
                  {"tag": "withstar", "omega": inner, "star": False}):
         with pytest.raises(UnsupportedDescriptorError):
             omega_descriptor_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"tag": "union", "parts": [{"tag": "finite", "elements": [1]}]},
+    {"tag": "intersection", "parts": [{"tag": "cofinite", "excluded": []},
+                                      {"tag": "branch", "word": {"prefix": "", "period": "0"}}]},
+], ids=["union", "intersection"])
+def test_omega_reader_has_no_union_or_intersection_tag(data):
+    # only difference nests: unions and intersections are built on normal forms
+    with pytest.raises(UnsupportedDescriptorError):
+        omega_descriptor_from_json(data)
 
 
 @pytest.mark.parametrize("data", [

@@ -7,7 +7,6 @@ from math import factorial
 import pytest
 
 from conftest import (
-    RUN_N5,
     all_preorders,
     brute_force_preorders,
     brute_force_topologies,
@@ -255,7 +254,7 @@ def test_preorder_count_matches_topology_count():
         assert rows == sorted(set(rows))
 
 
-@pytest.mark.parametrize("n", range(6 if RUN_N5 else 5))
+@pytest.mark.parametrize("n", range(6))
 def test_preorder_search_matches_the_oracles(n):
     # the oracle's pruned search, in order, against every reflexive
     # transitive tuple of rows and the 2^n scan for the up-closed point sets
@@ -264,7 +263,7 @@ def test_preorder_search_matches_the_oracles(n):
     assert list(all_preorders(n)) == expected
 
 
-@pytest.mark.parametrize("n", range(6 if RUN_N5 else 5))
+@pytest.mark.parametrize("n", range(6))
 def test_size_sorted_search_matches_the_oracles(n):
     # exactly the preorders whose up-set sizes do not grow, in order, with
     # the opens of each

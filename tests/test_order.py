@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from conftest import inclusion_rows, isomorphic_rows, needs_n5, needs_n6, relabelled_rows
+from conftest import inclusion_rows, isomorphic_rows, needs_n6, relabelled_rows
 
 from revtop.enumeration import canonical_preorder, catalog, preorder_of_topology
 from revtop.order import (
@@ -347,7 +347,6 @@ def test_condensational_order_matches_leq_methods(n):
     assert_order_matches_leq(n, LEQ_METHODS)
 
 
-@needs_n5
 def test_condensational_order_matches_leq_n5():
     assert_order_matches_leq(5, ("coarsening_of_t2_side",))
 

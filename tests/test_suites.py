@@ -33,7 +33,6 @@ from revtop.topology import (
     homeo_class,
 )
 
-from conftest import needs_n5
 
 ORBIT_SUITES = ("fact11", "prop14", "thm31")
 
@@ -165,7 +164,6 @@ def test_conv_hull_beyond_any_catalog(monkeypatch):
     assert hull == tuple(sorted(FiniteTopology(7, (0, *opens, 127)) for opens in inner))
 
 
-@needs_n5
 def test_conv_hull_matches_reference_on_random_families_n5(monkeypatch):
     # a member a, one finer than a by up to three adjoined point sets, and up
     # to two more members: random members alone are rarely nested at n = 5

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+from functools import reduce
 
 import pytest
 
@@ -22,7 +23,6 @@ from revtop.descriptors import (
     OmegaStarSet,
     OpenLeftZ,
     ShiftZ,
-    UnionSet,
     UnsupportedDescriptorError,
     Word,
     nf,
@@ -30,6 +30,7 @@ from revtop.descriptors import (
     nf_enumerate,
     nf_intersection,
     nf_member,
+    nf_union,
     word_contains,
 )
 from revtop.symbolic import (
@@ -47,7 +48,6 @@ from revtop.symbolic import (
     blocking_nbhd,
     construct_o_star,
     converges,
-    f_m_closed_check,
     image_descriptor,
     image_topology_symbolic,
     increasing_chain,
@@ -284,8 +284,7 @@ def test_ad_family_rejects_duplicates():
 
 def test_disjoint_branches():
     zeros, ones = BranchSet(Word("", "0")), BranchSet(Word("", "1"))
-    from revtop.descriptors import IntersectionSet
-    overlap = nf(IntersectionSet((zeros, ones)))
+    overlap = nf_intersection(nf(zeros), nf(ones))
     assert overlap.is_finite() and not overlap.plus
 
 
@@ -295,8 +294,7 @@ def test_intersection_matches_enumeration_oracle():
     big_a = {k for k in range(5000) if word_contains(a.word, k)}
     big_b = {k for k in range(5000) if word_contains(b.word, k)}
     assert big_a & big_b == {2, 5}
-    from revtop.descriptors import IntersectionSet
-    overlap = nf(IntersectionSet((a, b)))
+    overlap = nf_intersection(nf(a), nf(b))
     assert overlap.is_finite() and overlap.plus == {2, 5}
 
 
@@ -310,16 +308,6 @@ def test_branch_elements_strictly_increasing_and_unbounded():
 
 
 # --- the refined sequence space ---------------------------------------------
-
-def test_f_m_closed_check():
-    assert f_m_closed_check(BranchSet(Word("", "0")))
-    assert f_m_closed_check(CofiniteSet(()))           # the full index set
-    assert f_m_closed_check(CofiniteSet((0, 1, 2)))
-    combo = UnionSet((BranchSet(Word("", "01")), BranchSet(Word("", "1"))))
-    assert f_m_closed_check(combo)
-    with pytest.raises(ValueError):
-        f_m_closed_check(FiniteSet((1, 2, 3)))
-
 
 def test_o_star_refines_base():
     fam = ad_family(2)
@@ -496,7 +484,7 @@ def random_infinite_tail(rng, fam):
     parts += rng.sample(OUTSIDERS, rng.randrange(0 if parts else 1, 3))
     if rng.random() < 0.5:
         parts.append(FiniteSet(tuple(rng.sample(range(64), 3))))
-    d = UnionSet(tuple(parts))
+    d = reduce(nf_union, map(nf, parts))
     shape = rng.randrange(3)
     if shape == 1:
         d = DifferenceSet(d, FiniteSet(nf_enumerate(nf(d), rng.randrange(1, 4))))
@@ -550,7 +538,7 @@ def test_forged_blocking_certificates_are_rejected():
     fam = ad_family(4)
     member = fam.members[1]
     # the member without 2, together with 3, which lies outside the member
-    candidate = UnionSet((DifferenceSet(member, FiniteSet((2,))), FiniteSet((3,))))
+    candidate = nf_union(nf(DifferenceSet(member, FiniteSet((2,)))), nf(FiniteSet((3,))))
     assert nf_member(nf(member), 2) and not nf_member(nf(member), 3)
     cert = blocking_nbhd(candidate, fam)
     assert cert is not None and cert.index == 1 and cert.verify()
