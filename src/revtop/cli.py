@@ -102,7 +102,7 @@ def cmd_order(args) -> int:
     if args.dot:
         _emit([digraph.to_dot()], args.dot)
     if args.json:
-        _emit([_dumps(digraph.to_json()) + "\n"], args.json)
+        _emit(digraph.json_chunks(), args.json)
     sys.stdout.write(f"n={args.n} nodes={len(digraph.nodes)} edges={len(digraph.hasse)}\n")
     return 0
 

@@ -3,11 +3,13 @@
 Homeomorphism classes, the four equivalent reversibility tests, the three
 equivalent formulations of the condensational ordering, convex hulls and weak
 reversibility, strong reversibility with its classification, and the
-quotient order digraph.  Production paths read orbits from ``catalog(n)``: the
-quotient order is the reachability of one-open adjoins between orbits.  A
-convex hull reads no catalog: it walks up from its members by one-open
-adjoins.  The permutation searches are the second route; two of them walk
-only the bijections that preserve the specialization preorder.
+quotient order digraph.  The quotient order reads no labelled catalog: its
+nodes are canonical preorder keys, one per orbit, and it is the reachability
+of upper covers read from the keys' rows (:func:`cover_graph`).  The
+reversibility tests read orbits from ``catalog(n)``.  A convex hull reads no
+catalog: it walks up from its members by one-open adjoins.  The permutation
+searches are the second route; two of them walk only the bijections that
+preserve the specialization preorder.
 """
 from __future__ import annotations
 
@@ -15,15 +17,15 @@ from collections import namedtuple
 from enum import Enum
 from operator import attrgetter, itemgetter
 
-from .enumeration import catalog, preorder_of_topology
+from .enumeration import _bits, _up_opens, catalog, cover_graph, preorder_of_topology
 from .topology import (
     DimensionMismatchError,
     FiniteTopology,
     adjoin_open,
     antidiscrete_topology,
+    canonical_form,
     computed_topologies,
     discrete_topology,
-    full_mask,
     homeo_class,
     image_opens,
     image_topology,
@@ -224,8 +226,11 @@ def conv_hull(topologies) -> tuple[FiniteTopology, ...]:
 
 def is_weakly_reversible(t: FiniteTopology) -> bool:
     """True iff the homeomorphism class of t is convex in the inclusion lattice.
-    The class comes from ``catalog(t.n)`` (CapExceededError above the cap): about
-    2 s for one topology at n = 6, against milliseconds for ``homeo_class(t)``."""
+    The class comes from ``catalog(t.n)`` (CapExceededError above the cap): the
+    first call at n = 6 builds it, about 1.3 s, against milliseconds for
+    ``homeo_class(t)``.  At n = 7 it would hold 9,535,241 members, so of the
+    finite commands only ``order`` and the ``enum`` summary, which read no
+    catalog, reach n = 7."""
     cls = _homeo_class(t)
     return conv_hull(cls) == cls
 
@@ -262,14 +267,6 @@ def classify_strongly_reversible(t: FiniteTopology) -> StrongKind:
     return StrongKind.NOT_STRONGLY_REVERSIBLE
 
 
-def _bits(row: int):
-    """The indices of the set bits of row, ascending."""
-    while row:
-        low = row & -row
-        yield low.bit_length() - 1
-        row ^= low
-
-
 def _covers(up) -> list[int]:
     """Transitive reduction of a partial order given by up-set rows (bit j of
     up[i] set iff i <= j): the covers of i are its strict up-set minus the
@@ -288,10 +285,10 @@ class CondOrderDigraph(namedtuple("CondOrderDigraph",
                                   ("n", "nodes", "orbit_sizes", "up", "hasse"))):
     """The condensational order on equivalence classes of topologies.
 
-    Nodes are the catalog's orbit representatives: every finite space is
-    reversible, so each equivalence class is a single homeomorphism orbit.
-    up holds the induced partial order as up-set rows (bit j of up[i] set iff
-    node i <= node j) and hasse its transitive reduction.
+    Nodes are the orbits' least members, in increasing order: every finite
+    space is reversible, so each equivalence class is a single homeomorphism
+    orbit.  up holds the induced partial order as up-set rows (bit j of up[i]
+    set iff node i <= node j) and hasse its transitive reduction.
     """
 
     __slots__ = ()
@@ -306,44 +303,53 @@ class CondOrderDigraph(namedtuple("CondOrderDigraph",
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> dict:
+    def json_chunks(self):
+        """The JSON object with keys hasse, leq (the 0/1 matrix of up), n and
+        nodes (opens and orbit_size of each), as ``json.dumps`` writes it with
+        sorted keys and no spaces, plus a newline.  It comes in pieces, one
+        per row of leq, so the matrix (4535 by 4535 at n = 7) is never held
+        as one string."""
         k = len(self.nodes)
-        return {
-            "n": self.n,
-            "nodes": [{"opens": list(t.opens), "orbit_size": s}
-                      for t, s in zip(self.nodes, self.orbit_sizes)],
-            "leq": [[row >> j & 1 for j in range(k)] for row in self.up],
-            "hasse": [list(e) for e in self.hasse],
-        }
+        yield ('{"hasse":[' + ",".join(f"[{i},{j}]" for i, j in self.hasse)
+               + '],"leq":[')
+        for i, row in enumerate(self.up):
+            # bit j of the row is character k-1-j of its binary numeral
+            yield ("," if i else "") + "[" + ",".join(format(row, f"0{k}b")[::-1]) + "]"
+        yield f'],"n":{self.n},"nodes":[' + ",".join(
+            f'{{"opens":[{",".join(map(str, t.opens))}],"orbit_size":{s}}}'
+            for t, s in zip(self.nodes, self.orbit_sizes)) + "]}\n"
 
 
 def condensational_order(n: int) -> CondOrderDigraph:
-    """The condensational order on the orbits of ``catalog(n)``, with Hasse
-    edges: orbit i is below orbit j iff a member of i is coarser than rep j.
+    """The condensational order on the homeomorphism orbits of the topologies
+    on n points, with Hasse edges: orbit i is below orbit j iff a member of i
+    is coarser than a member of j.
 
-    Every topology finer than rep i is reached from it by adjoining its extra
-    opens one at a time, and relabelling commutes with :func:`adjoin_open`.
-    So the order is the reflexive-transitive closure of the graph
-    i -> orbit of ``adjoin_open(rep i, g)`` over the point sets g not open in
-    rep i.  Each child has more opens, so one pass over the representatives
-    in decreasing open count ORs in the finished rows of the children."""
-    cat = catalog(n)
-    reps = tuple(cat.orbits)
-    orbit_of = {u.opens: i for i, orbit in enumerate(cat.orbits.values()) for u in orbit}
-    sets = range(1, full_mask(n))
-    up = [0] * len(reps)
-    for i in sorted(range(len(reps)), key=lambda i: -len(reps[i].opens)):
-        opens = reps[i].opens
-        present = set(opens)
-        row = 1 << i
-        for g in sets:
-            if g not in present:
-                child = orbit_of.get(adjoin_open(opens, g))
-                if child is None:
-                    raise AssertionError(f"adjoining {g} to opens {list(opens)} "
-                                         f"leaves the catalog")
-                row |= up[child]
-        up[i] = row
+    Every topology finer than t is reached from it by a chain of upper
+    covers, and relabelling carries covers onto covers, so the order is the
+    reflexive-transitive closure of :func:`cover_graph`.  Each cover has more
+    opens than its parent (an AssertionError if not), so one pass over the
+    orbits in decreasing open count ORs in the finished rows of the covers.
+    The nodes are the orbits' least members (:func:`canonical_form`), sorted."""
+    keys, sizes, covers = cover_graph(n)
+    tops = computed_topologies(n, map(_up_opens, keys))
+    for i, children in enumerate(covers):
+        for c in children:
+            if len(tops[c].opens) <= len(tops[i].opens):
+                raise AssertionError(f"the cover {list(keys[c])} of the preorder "
+                                     f"{list(keys[i])} has no more opens")
+    forms = [canonical_form(t) for t in tops]
+    order = sorted(range(len(keys)), key=forms.__getitem__)
+    place = [0] * len(keys)
+    for p, i in enumerate(order):
+        place[i] = p
+    up = [0] * len(keys)
+    for i in sorted(range(len(keys)), key=lambda i: -len(tops[i].opens)):
+        row = 1 << place[i]
+        for c in covers[i]:
+            row |= up[place[c]]
+        up[place[i]] = row
     up = tuple(up)
     hasse = tuple((i, j) for i, row in enumerate(_covers(up)) for j in _bits(row))
-    return CondOrderDigraph(n, reps, tuple(map(len, cat.orbits.values())), up, hasse)
+    return CondOrderDigraph(n, tuple(forms[i] for i in order),
+                            tuple(sizes[i] for i in order), up, hasse)

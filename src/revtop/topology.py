@@ -331,5 +331,8 @@ def homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
 
 
 def canonical_form(t: FiniteTopology) -> FiniteTopology:
-    """Lexicographically least permutation image; constant on homeomorphism classes."""
-    return computed_topologies(t.n, orbit_opens(t.n, t.opens)[:1])[0]
+    """Lexicographically least permutation image; constant on homeomorphism
+    classes.  The least sorted image, as in :func:`orbit_opens`, without
+    collecting and sorting the orbit."""
+    images = itemgetter(0, *t.opens)
+    return computed_topologies(t.n, [tuple(min(map(sorted, map(images, mask_tables(t.n)))))[1:]])[0]

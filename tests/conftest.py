@@ -1,12 +1,15 @@
 import os
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import pytest
 
 from revtop.descriptors import Z_FIRST, AllZ, ClosedLeftZ, EmptyZ, OpenLeftZ
-from revtop.enumeration import catalog
+from revtop.enumeration import _bits, catalog
+from revtop.order import CondOrderDigraph, _covers
 from revtop.topology import (
     FiniteTopology,
+    adjoin_open,
     MissingEmptyError,
     MissingFullError,
     NotClosedUnderIntersectionError,
@@ -20,6 +23,11 @@ RUN_N6 = os.environ.get("REVTOP_N6", "") not in ("", "0")
 
 needs_n6 = pytest.mark.skipif(
     not RUN_N6, reason="n=6 checks are gated behind REVTOP_N6=1")
+
+RUN_N7 = os.environ.get("REVTOP_N7", "") not in ("", "0")
+
+needs_n7 = pytest.mark.skipif(
+    not RUN_N7, reason="n=7 checks are gated behind REVTOP_N7=1")
 
 
 def closure_fault(n: int, ops: tuple[int, ...]):
@@ -58,17 +66,18 @@ def brute_force_topologies(n: int) -> list[FiniteTopology]:
     return sorted(out)
 
 
-def brute_force_preorders(n: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def brute_force_preorders(n: int) -> tuple[tuple[int, ...], ...]:
     """Oracle for the preorders: the up-set rows of every reflexive transitive
     relation on n points, sorted, found by testing every tuple of rows that
-    holds the diagonal (16^5 of them at n = 5)."""
+    holds the diagonal (16^5 of them at n = 5).  Built once per session."""
     candidates = [[m for m in range(1 << n) if m >> i & 1] for i in range(n)]
 
     def transitive(rows):
         return all(rows[j] | row == row
                    for row in rows for j in range(n) if row >> j & 1)
 
-    return [rows for rows in product(*candidates) if transitive(rows)]
+    return tuple(rows for rows in product(*candidates) if transitive(rows))
 
 
 def all_preorders(n: int):
@@ -122,6 +131,32 @@ def transported_catalog(n: int):
             claimed.update(members)
             orbits[members[0]] = members
     return topologies, tuple(orbits), orbits
+
+
+def labelled_order(n: int) -> CondOrderDigraph:
+    """Oracle for the condensational order, on the labelled catalog: orbit i
+    is below orbit j iff j is reachable by adjoining one point set at a time.
+    Every topology finer than rep i is reached from it by adjoining its extra
+    opens one at a time, and relabelling commutes with adjoin_open, so the
+    order is the reflexive-transitive closure of i -> orbit of
+    ``adjoin_open(rep i, g)`` over the point sets g not open in rep i.  Each
+    child has more opens, so one pass over the representatives in decreasing
+    open count ORs in the finished rows of the children."""
+    cat = catalog(n)
+    reps = tuple(cat.orbits)
+    orbit_of = {u.opens: i for i, orbit in enumerate(cat.orbits.values()) for u in orbit}
+    up = [0] * len(reps)
+    for i in sorted(range(len(reps)), key=lambda i: -len(reps[i].opens)):
+        opens = reps[i].opens
+        present = set(opens)
+        row = 1 << i
+        for g in range(1, full_mask(n)):
+            if g not in present:
+                row |= up[orbit_of[adjoin_open(opens, g)]]
+        up[i] = row
+    up = tuple(up)
+    hasse = tuple((i, j) for i, row in enumerate(_covers(up)) for j in _bits(row))
+    return CondOrderDigraph(n, reps, tuple(map(len, cat.orbits.values())), up, hasse)
 
 
 def isomorphic_rows(a, b) -> bool:

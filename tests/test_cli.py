@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import needs_n6
+from conftest import needs_n6, needs_n7
 from revtop.enumeration import catalog
 
 RUN = [sys.executable, "-m", "revtop"]
@@ -200,11 +200,13 @@ def assert_golden_order_files(tmp_path, capsys, n, line, json_digest, dot_digest
     assert sha256(dot.read_bytes()).hexdigest() == dot_digest
 
 
+ORDER_N4 = (4, "n=4 nodes=33 edges=68\n",
+            "4db52746f2d6c8b361b8b0583c01f711093eb09227a5f1ff0a084e6c6e82faff",
+            "a5e54e770a085a01bed9ee58fe75f3e7b5ddcde47f40e51f2cf81c3dedf058a7")
+
+
 def test_golden_order_files_n4(tmp_path, capsys):
-    assert_golden_order_files(
-        tmp_path, capsys, 4, "n=4 nodes=33 edges=68\n",
-        "4db52746f2d6c8b361b8b0583c01f711093eb09227a5f1ff0a084e6c6e82faff",
-        "a5e54e770a085a01bed9ee58fe75f3e7b5ddcde47f40e51f2cf81c3dedf058a7")
+    assert_golden_order_files(tmp_path, capsys, *ORDER_N4)
 
 
 def test_golden_order_files_n5(tmp_path, capsys):
@@ -262,6 +264,34 @@ def test_only_enum_json_and_two_suites_sort_the_members(tmp_path, monkeypatch, c
         with pytest.raises(RuntimeError, match="sorted the catalog's members"):
             main(args)
     capsys.readouterr()
+
+
+def test_enum_summary_and_order_build_no_catalog(tmp_path, monkeypatch, capsys):
+    """Neither expands an orbit of the labelled catalog: with the orbit map
+    refused, whether the catalog is cached or not, both print their golden
+    bytes.  The summary counts the orbit sizes of the canonical keys."""
+    from revtop.cli import main
+    from revtop.enumeration import TopologyCatalog
+
+    def forbidden(cat):
+        raise RuntimeError("built the labelled catalog")
+
+    monkeypatch.setattr(TopologyCatalog, "orbits", property(forbidden))
+    assert main(["enum", "--n", "4"]) == 0
+    assert capsys.readouterr().out == "n=4 topologies=355 orbits=33\n"
+    assert_golden_order_files(tmp_path, capsys, *ORDER_N4)
+    with pytest.raises(RuntimeError, match="built the labelled catalog"):
+        main(["enum", "--n", "4", "--format", "json"])
+
+
+@needs_n7
+def test_enum_and_order_n7(tmp_path, monkeypatch, capsys):
+    from revtop.cli import main
+    monkeypatch.setenv("REVTOP_MAX_N", "7")
+    assert main(["enum", "--n", "7"]) == 0
+    assert capsys.readouterr().out == "n=7 topologies=9535241 orbits=4535\n"
+    assert main(["order", "--n", "7"]) == 0
+    assert capsys.readouterr().out == "n=7 nodes=4535 edges=24192\n"
 
 
 def test_verify_all_suites_pass():

@@ -73,20 +73,28 @@ def test_closure_route_prunes_by_inherited_failures(monkeypatch):
     # one canonicity test per candidate the inherited failures do not skip;
     # Close-by-One without them makes 956 at n=4 and 36,812 at n=5
     calls = []
-    adds_below = enumeration._adds_below
-    monkeypatch.setattr(enumeration, "_adds_below",
-                        lambda opens, base, g: calls.append(g) or adds_below(opens, base, g))
+    path_fails = enumeration._path_fails
+    monkeypatch.setattr(enumeration, "_path_fails",
+                        lambda path, base, g: calls.append(g) or path_fails(path, base, g))
     for n, tests in {2: 3, 3: 36, 4: 591, 5: 14422}.items():
         calls.clear()
         assert len(enumeration.enumerate_topologies_by_closure(n)) == KNOWN_COUNTS[n]
         assert len(calls) == tests, n
 
 
+def adds_below(opens, base: set[int], g: int) -> bool:
+    """Oracle for the canonicity test, reading every open rather than the
+    path generators: some cut b & g of the opens is neither open nor g, a new
+    open below g.  Stops at the first such cut."""
+    return not base.issuperset(filter(g.__ne__, map(g.__and__, opens)))
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_linear_canonicity_test_matches_the_closure(n):
-    # the closure route's verdict and child against the full closure: the
-    # child adds no open below g iff both have as many opens below g; the
-    # verdict reads the opens only up to the first cut neither open nor g
+    # the oracle's verdict and the closure route's child against the full
+    # closure, on every topology: the child adds no open below g iff both
+    # have as many opens below g; the verdict reads the opens only up to the
+    # first cut neither open nor g
     for t in brute_force_topologies(n):
         base = set(t.opens)
         for g in range(1, t.full):
@@ -95,7 +103,7 @@ def test_linear_canonicity_test_matches_the_closure(n):
             closed = adjoin_open(t.opens, g)
             canonical = bisect_left(closed, g) == bisect_left(t.opens, g)
             read = []
-            fails = enumeration._adds_below((read.append(b) or b for b in t.opens), base, g)
+            fails = adds_below((read.append(b) or b for b in t.opens), base, g)
             assert fails != canonical, (t.opens, g)
             first = next((i for i, b in enumerate(t.opens) if b & g not in base | {g}), None)
             assert len(read) == (len(t.opens) if first is None else first + 1), (t.opens, g)
@@ -105,28 +113,31 @@ def test_linear_canonicity_test_matches_the_closure(n):
 
 def failures_in_descendants(n):
     """Close-by-One without skips, every verdict and child from the full
-    closure, each node carrying its ancestors' failed generators with their
-    new cuts (the closure's opens inside g that are neither open nor g).
-    Asserts that each recorded generator fails again at every descendant that
-    reaches it and that no descendant holds a recorded cut.  Returns the
-    number of topologies, of canonicity tests and of tests a record would
-    skip."""
+    closure, each node carrying its path generators and its ancestors' failed
+    generators with their new cuts (the closure's opens inside g that are
+    neither open nor g).  Asserts that the closure route's test on the path
+    generators and the oracle's on every open give the closure's verdict,
+    that each recorded generator fails again at every descendant that reaches
+    it, and that no descendant holds a recorded cut.  Returns the number of
+    topologies, of canonicity tests and of tests a record would skip."""
     full = (1 << n) - 1
     found = tests = skips = 0
-    stack = [(topology.antidiscrete_topology(n).opens, 0, {})]
+    stack = [(topology.antidiscrete_topology(n).opens, (), {})]
     while stack:
-        opens, last, inherited = stack.pop()
+        opens, path, inherited = stack.pop()
         found += 1
         base = set(opens)
         for g, cuts in inherited.items():
             assert base.isdisjoint(cuts), (opens, g, sorted(cuts))
         failed = dict(inherited)
-        for g in range(last + 1, full):
+        for g in range(path[-1] + 1 if path else 1, full):
             if g in base:
                 continue
             tests += 1
             closed = adjoin_open(opens, g)
             fails = bisect_left(closed, g) > bisect_left(opens, g)
+            assert enumeration._path_fails(path, base, g) == fails, (opens, path, g)
+            assert adds_below(opens, base, g) == fails, (opens, g)
             if g in inherited:
                 skips += 1
                 assert fails, (opens, g)
@@ -135,7 +146,7 @@ def failures_in_descendants(n):
                 assert new, (opens, g)
                 failed[g] = failed.get(g, frozenset()) | new
             else:
-                stack.append((closed, g, failed))
+                stack.append((closed, path + (g,), failed))
     return found, tests, skips
 
 
@@ -151,7 +162,8 @@ def test_failed_generators_fail_in_every_descendant(n):
 
 
 def test_catalog_fault_is_an_internal_error(monkeypatch, capsys):
-    # opens that lose the full set from one candidate build no topology
+    # opens that lose the full set from one candidate build no topology; the
+    # json format expands the orbits, the summary expands none
     from revtop.cli import main
 
     calls = []
@@ -164,7 +176,7 @@ def test_catalog_fault_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(enumeration, "_up_opens", lossy)
     enumeration.catalog.cache_clear()
     try:
-        assert main(["enum", "--n", "3"]) == 3
+        assert main(["enum", "--n", "3", "--format", "json"]) == 3
     finally:
         enumeration.catalog.cache_clear()
     err = capsys.readouterr().err
@@ -182,7 +194,7 @@ def test_overlapping_orbits_are_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(topology, "mask_tables", lambda n: tables)
     enumeration.catalog.cache_clear()
     try:
-        assert main(["enum", "--n", "3"]) == 3
+        assert main(["enum", "--n", "3", "--format", "json"]) == 3
     finally:
         enumeration.catalog.cache_clear()
     err = capsys.readouterr().err
@@ -199,7 +211,7 @@ if not sys.flags.optimize:
     sys.exit(99)
 tables = topology.mask_tables(3) + ((0,) + tuple(7 ^ m for m in range(1, 7)) + (7,),)
 topology.mask_tables = lambda n: tables
-sys.exit(main(["enum", "--n", "3"]))
+sys.exit(main(["enum", "--n", "3", "--format", "json"]))
 """
 
 
@@ -234,8 +246,20 @@ def test_every_member_is_validated_once(monkeypatch, n):
     monkeypatch.setattr(topology, "_is_topology",
                         lambda k, ops: calls.append(ops) or check(k, ops))
     cat = enumerate_topologies(n)
-    assert len(calls) == len(cat) == KNOWN_COUNTS[n]
+    assert calls == []      # the orbits are built on their first read
+    assert len(cat) == KNOWN_COUNTS[n] and calls == []
+    cat.orbits
+    assert len(calls) == KNOWN_COUNTS[n]
     assert sorted(calls) == [t.opens for t in cat.topologies]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_key_orbit_sizes_match_the_expanded_orbits(n):
+    # the catalog's size and orbit count come from the canonical keys, its
+    # members from the permutation tables: the two give the same orbit sizes
+    cat = enumerate_topologies(n)
+    assert sorted(cat._sizes) == sorted(map(len, cat.orbits.values()))
+    assert (len(cat), cat.orbit_count) == (KNOWN_COUNTS[n], KNOWN_ORBITS[n])
 
 
 def test_every_member_is_valid(cat4):
@@ -295,9 +319,9 @@ def test_catalog_matches_the_transport(n):
 def test_both_enumerators_agree_n6(monkeypatch):
     monkeypatch.setenv("REVTOP_MAX_N", "6")
     calls = []
-    adds_below = enumeration._adds_below
-    monkeypatch.setattr(enumeration, "_adds_below",
-                        lambda opens, base, g: calls.append(g) or adds_below(opens, base, g))
+    path_fails = enumeration._path_fails
+    monkeypatch.setattr(enumeration, "_path_fails",
+                        lambda path, base, g: calls.append(g) or path_fails(path, base, g))
     oracle = enumerate_topologies_by_closure(6)
     assert len(oracle) == 209527        # OEIS A000798
     assert len(calls) == 540406         # canonicity tests the inherited failures leave
@@ -330,7 +354,7 @@ def test_round_trips(n):
     # every topology's rows are a reflexive transitive relation: exactly the
     # oracle's preorders, each of them once
     preorders = brute_force_preorders(n)
-    assert sorted(preorder_of_topology(t) for t in catalog(n).topologies) == preorders
+    assert sorted(preorder_of_topology(t) for t in catalog(n).topologies) == list(preorders)
     for up in preorders:
         assert preorder_of_topology(topology_of_preorder(up)) == up
     # the opens the oracle search carries, union-closed row by row, against

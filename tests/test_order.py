@@ -1,12 +1,27 @@
+import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 
-from conftest import inclusion_rows, isomorphic_rows, needs_n6, relabelled_rows
+from conftest import (
+    inclusion_rows,
+    isomorphic_rows,
+    labelled_order,
+    needs_n6,
+    needs_n7,
+    relabelled_rows,
+)
 
-from revtop.enumeration import canonical_preorder, catalog, preorder_of_topology
+from revtop.enumeration import (
+    _cover_rows,
+    _up_opens,
+    canonical_preorder,
+    catalog,
+    cover_graph,
+    preorder_of_topology,
+)
 from revtop.order import (
     LEQ_METHODS,
     REVERSIBILITY_METHODS,
@@ -25,6 +40,7 @@ from revtop.order import (
 from revtop.topology import (
     DimensionMismatchError,
     FiniteTopology,
+    adjoin_open,
     antidiscrete_topology,
     discrete_topology,
     image_opens,
@@ -314,11 +330,16 @@ def test_condensational_order_matches_member_subsets(n):
     assert condensational_order(n).up == reference_order_up(n)
 
 
-def test_order_fault_is_an_internal_error(monkeypatch):
-    import revtop.order
-    monkeypatch.setattr(revtop.order, "adjoin_open", lambda opens, g: opens[:-1])
-    with pytest.raises(AssertionError, match="leaves the catalog"):
+def test_order_fault_is_an_internal_error(monkeypatch, capsys):
+    # a cover with no more opens than its parent (here the parent itself)
+    # breaks the invariant the one pass in decreasing open count relies on
+    import revtop.enumeration
+    from revtop.cli import main
+    monkeypatch.setattr(revtop.enumeration, "_cover_rows", lambda rows: [rows])
+    with pytest.raises(AssertionError, match="has no more opens"):
         condensational_order(3)
+    assert main(["order", "--n", "3"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: the cover [")
 
 
 @needs_n6
@@ -328,6 +349,105 @@ def test_condensational_order_n6(monkeypatch):
     assert len(digraph.nodes) == 718
     assert len(digraph.hasse) == 2894
     assert digraph.up == reference_order_up(6)
+    assert digraph == labelled_order(6)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_condensational_order_matches_the_labelled_oracle(n):
+    assert condensational_order(n) == labelled_order(n)
+
+
+# OEIS A001930 (orbits) and A000798 (topologies)
+KNOWN = {0: (1, 1), 1: (1, 1), 2: (3, 4), 3: (9, 29), 4: (33, 355), 5: (139, 6942),
+         6: (718, 209527)}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_cover_graph_counts_the_orbits(monkeypatch, n):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    keys, sizes, covers = cover_graph(n)
+    assert (len(keys), sum(sizes)) == KNOWN[n]
+    assert len(set(keys)) == len(keys) == len(covers)
+
+
+def unpruned_cover_keys(rows):
+    """The keys of the covers by the rule, from the definitions: every
+    nonempty proper subset A of every twin class, and every Hasse edge X < Y
+    of the quotient found as a pair with no class strictly between."""
+    k = len(rows)
+    classes = {frozenset(j for j in range(k) if rows[j] == rows[i]) for i in range(k)}
+    keys = set()
+    for c in classes:
+        for size in range(1, len(c)):
+            for a in combinations(sorted(c), size):
+                lower = sum(1 << v for v in a)
+                keys.add(canonical_preorder(tuple(
+                    row & ~lower if v in c and v not in a else row
+                    for v, row in enumerate(rows)))[0])
+    below = {(x, y) for x in classes for y in classes
+             if x != y and rows[min(x)] >> min(y) & 1}
+    for x, y in below:
+        if not any((x, z) in below and (z, y) in below for z in classes):
+            upper = sum(1 << v for v in y)
+            keys.add(canonical_preorder(tuple(
+                row & ~upper if v in x else row for v, row in enumerate(rows)))[0])
+    return keys
+
+
+def adjoin_cover_keys(rows):
+    """The keys of the minimal children of adjoining each point set that is
+    not open: the upper covers in the lattice of topologies, by definition."""
+    n = len(rows)
+    opens = _up_opens(rows)
+    present = set(opens)
+    children = {frozenset(adjoin_open(opens, g)) for g in range(1, 1 << n) if g not in present}
+    minimal = [c for c in children if not any(d < c for d in children)]
+    return {canonical_preorder(preorder_of_topology(FiniteTopology(n, tuple(sorted(c)))))[0]
+            for c in minimal}
+
+
+def assert_covers_match_the_oracles(n):
+    for key in cover_graph(n)[0]:
+        pruned = {canonical_preorder(rows)[0] for rows in _cover_rows(key)}
+        assert pruned == unpruned_cover_keys(key) == adjoin_cover_keys(key), key
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_covers_match_the_unpruned_rule_and_the_adjoin_filter(n):
+    assert_covers_match_the_oracles(n)
+
+
+@needs_n6
+def test_covers_match_the_unpruned_rule_and_the_adjoin_filter_n6(monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    assert_covers_match_the_oracles(6)
+
+
+@needs_n7
+def test_condensational_order_n7(monkeypatch):
+    # the Hasse edges are exactly the distinct cover pairs; each node is
+    # matched to its key through its own preorder
+    monkeypatch.setenv("REVTOP_MAX_N", "7")
+    keys, sizes, covers = cover_graph(7)
+    digraph = condensational_order(7)
+    assert len(digraph.nodes) == 4535 and len(digraph.hasse) == 24192
+    assert sum(digraph.orbit_sizes) == sum(sizes) == 9535241
+    key_of = [canonical_preorder(preorder_of_topology(t))[0] for t in digraph.nodes]
+    assert {(key_of[i], key_of[j]) for i, j in digraph.hasse} == {
+        (keys[i], keys[c]) for i, children in enumerate(covers) for c in children}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_json_chunks_are_the_json_module_bytes(n):
+    digraph = condensational_order(n)
+    k = len(digraph.nodes)
+    data = {"n": n,
+            "nodes": [{"opens": list(t.opens), "orbit_size": s}
+                      for t, s in zip(digraph.nodes, digraph.orbit_sizes)],
+            "leq": [[row >> j & 1 for j in range(k)] for row in digraph.up],
+            "hasse": [list(e) for e in digraph.hasse]}
+    assert "".join(digraph.json_chunks()) == json.dumps(
+        data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @needs_n6
