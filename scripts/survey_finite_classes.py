@@ -42,7 +42,7 @@ def survey(n: int, dot_dir: str | None) -> None:
     weak = sum(1 for t in cat.orbits if is_weakly_reversible(t))
     longest = longest_chain(digraph)
     elapsed = time.time() - start
-    print(f"n={n}: topologies={len(cat)} orbits={cat.orbit_count} "
+    print(f"n={n}: topologies={sum(digraph.orbit_sizes)} orbits={len(digraph.nodes)} "
           f"oracle_agrees={agree} strongly_reversible_orbits={strong} "
           f"weakly_reversible_orbits={weak} hasse_edges={len(digraph.hasse)} "
           f"longest_chain={longest} [{elapsed:.2f}s]")

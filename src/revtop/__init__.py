@@ -23,6 +23,7 @@ from .topology import (
     image_topology,
     is_continuous,
     is_homeomorphism,
+    preorder_of_topology,
     validate_topology,
 )
 from .enumeration import (
@@ -32,7 +33,6 @@ from .enumeration import (
     enumerate_topologies,
     enumerate_topologies_by_closure,
     enumerate_topologies_via_preorders,
-    preorder_of_topology,
 )
 from .order import (
     CondOrderDigraph,

@@ -79,8 +79,8 @@ def cmd_classify(args) -> int:
         })
     if args.format == "summary":
         strong = sum(1 for r in rows if r["strongly_reversible"])
-        text = (f"n={args.n} topologies={len(cat)} orbits={cat.orbit_count} "
-                f"strongly_reversible_orbits={strong}\n")
+        text = (f"n={args.n} topologies={sum(r['orbit_size'] for r in rows)} "
+                f"orbits={len(rows)} strongly_reversible_orbits={strong}\n")
     elif args.format == "csv":
         header = "opens;orbit_size;reversible;weakly_reversible;strongly_reversible;classification"
         lines = [header]

@@ -17,7 +17,7 @@ from collections import namedtuple
 from enum import Enum
 from operator import attrgetter, itemgetter
 
-from .enumeration import _bits, _up_opens, catalog, cover_graph, preorder_of_topology
+from .enumeration import _bits, _up_opens, catalog, cover_graph
 from .topology import (
     DimensionMismatchError,
     FiniteTopology,
@@ -32,6 +32,7 @@ from .topology import (
     mask_tables,
     opens_bitset,
     preimages_open,
+    preorder_of_topology,
 )
 
 REVERSIBILITY_METHODS = ("no_coarser", "no_finer", "antichain", "direct")

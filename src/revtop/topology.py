@@ -330,9 +330,103 @@ def homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
     return computed_topologies(t.n, orbit_opens(t.n, t.opens))
 
 
+def preorder_of_topology(t: FiniteTopology) -> tuple[int, ...]:
+    """The up-set rows of the specialization preorder of t: row i, the bit
+    set {j : i <= j}, is the least open set containing i.  The direction is
+    fixed project-wide: x <= y iff every open set containing x contains y."""
+    rows = []
+    full = t.full
+    for i in range(t.n):
+        acc = full
+        bit = 1 << i
+        for o in t.opens:
+            if o & bit:
+                acc &= o
+        rows.append(acc)
+    return tuple(rows)
+
+
+def down_rows(up) -> list[int]:
+    """The down-set rows of the relation with up-set rows ``up``: bit i of
+    row j set iff bit j of up[i] is."""
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            down[low.bit_length() - 1] |= bit
+            row ^= low
+    return down
+
+
+def least_twins(up, down) -> list[int]:
+    """The least twin of each point of the preorder with up-set rows ``up``
+    and down-set rows ``down``.  Twins are points with equal rows, or with
+    equal strict rows (each row without the point itself); swapping two
+    twins fixes every row, so it is an automorphism.  A point has twins of
+    one kind only: a twin by strict rows of a point in a class of two or
+    more would share its class."""
+    same, strict = {}, {}
+    return [min(same.setdefault((up[v], down[v]), v),
+                strict.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), v))
+            for v in range(len(up))]
+
+
 def canonical_form(t: FiniteTopology) -> FiniteTopology:
-    """Lexicographically least permutation image; constant on homeomorphism
-    classes.  The least sorted image, as in :func:`orbit_opens`, without
-    collecting and sorting the orbit."""
-    images = itemgetter(0, *t.opens)
-    return computed_topologies(t.n, [tuple(min(map(sorted, map(images, mask_tables(t.n)))))[1:]])[0]
+    """Lexicographically least permutation image (the least sorted tuple of
+    image opens, as in :func:`orbit_opens`); constant on homeomorphism
+    classes.  Found by a search that fills image positions 0, 1, ... in
+    order and keeps only the partial assignments that can still reach the
+    least image.
+
+    Exactness.  Once positions below p hold the point set S, the image
+    values below 2^p are exactly the images of the opens inside S, so they
+    are the final first entries (the prefix) of every completion's sorted
+    image.  If two prefixes differ at an entry both have, every completion
+    of the smaller is less than every completion of the larger.  If one is a
+    proper prefix of the other, the longer ranks first: the shorter one's
+    next entry is at least 2^p, the longer one's is below.  So the least
+    image completes a partial assignment whose prefix is least, and the
+    search keeps all of those and no other.  The parents of one level share
+    their prefix, so a child is ranked by the values it adds alone, the
+    images of the opens inside S that hold the new point, with 2^(p+1)
+    appended as the rank of the entry that follows them.
+
+    Twins.  Swapping two twins (:func:`least_twins`) maps t onto itself, so
+    two assignments that differ by the swap of two unplaced twins reach the
+    same images.  At each level the search tries only the least unplaced
+    point of each twin class: one point on the discrete and the antidiscrete
+    topology, where all points are twins, and n! assignments collapse to
+    one.
+
+    Each open is carried with the points it still lacks and the image of
+    the points it has; it joins the prefix when it lacks nothing."""
+    n, opens = t
+    up = preorder_of_topology(t)
+    classes: dict[int, int] = {}        # each twin class as a bit set
+    for v, w in enumerate(least_twins(up, down_rows(up))):
+        classes[w] = classes.get(w, 0) | 1 << v
+    prefix = [0]
+    states = [(0, opens[1:], (0,) * (len(opens) - 1))]      # placed, lacking, images
+    for p in range(n):
+        bit = 1 << p
+        best, kept = None, []
+        for placed, lacks, images in states:
+            for members in classes.values():
+                free = members & ~placed
+                if free:
+                    x = free & -free
+                    added = sorted([m | bit for lack, m in zip(lacks, images) if lack == x])
+                    added.append(bit << 1)
+                    if best is None or added < best:
+                        best, kept = added, [(placed, lacks, images, x)]
+                    elif added == best:
+                        kept.append((placed, lacks, images, x))
+        prefix += best[:-1]
+        states = []
+        for placed, lacks, images, x in kept:
+            rest = [(lack ^ x, m | bit) if lack & x else (lack, m)
+                    for lack, m in zip(lacks, images) if lack != x]
+            states.append((placed | x, tuple(lack for lack, _ in rest),
+                           tuple(m for _, m in rest)))
+    return computed_topologies(n, [tuple(prefix)])[0]

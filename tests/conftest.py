@@ -1,6 +1,7 @@
 import os
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 import pytest
 
@@ -15,6 +16,7 @@ from revtop.topology import (
     NotClosedUnderIntersectionError,
     NotClosedUnderUnionError,
     full_mask,
+    mask_tables,
     opens_bitset,
     orbit_opens,
 )
@@ -28,6 +30,11 @@ RUN_N7 = os.environ.get("REVTOP_N7", "") not in ("", "0")
 
 needs_n7 = pytest.mark.skipif(
     not RUN_N7, reason="n=7 checks are gated behind REVTOP_N7=1")
+
+RUN_N8 = os.environ.get("REVTOP_N8", "") not in ("", "0")
+
+needs_n8 = pytest.mark.skipif(
+    not RUN_N8, reason="n=8 checks are gated behind REVTOP_N8=1")
 
 
 def closure_fault(n: int, ops: tuple[int, ...]):
@@ -157,6 +164,67 @@ def labelled_order(n: int) -> CondOrderDigraph:
     up = tuple(up)
     hasse = tuple((i, j) for i, row in enumerate(_covers(up)) for j in _bits(row))
     return CondOrderDigraph(n, reps, tuple(map(len, cat.orbits.values())), up, hasse)
+
+
+def brute_force_canonical_form(t: FiniteTopology) -> FiniteTopology:
+    """Oracle for the least image: the minimum of the sorted images of the
+    opens under all n! permutation tables.  The leading 0 of each image (the
+    image of the empty set) keeps itemgetter's result a tuple when there is
+    one open, and is cut off the least."""
+    images = itemgetter(0, *t.opens)
+    return FiniteTopology(t.n, tuple(min(map(sorted, map(images, mask_tables(t.n)))))[1:])
+
+
+def reference_canonical_preorder(up):
+    """Oracle for :func:`revtop.enumeration.canonical_preorder`: the same
+    individualisation-refinement written plainly, every count recomputed
+    from the rows bit by bit and every cell regrouped, so that a faster
+    production loop must give the same (key, labelling, aut_count)."""
+    k = len(up)
+    down = [sum(1 << i for i in range(k) if up[i] >> j & 1) for j in range(k)]
+    # the least twin of each point: equal rows, or equal strict rows
+    same, strict = {}, {}
+    twin = [min(same.setdefault((up[v], down[v]), v),
+                strict.setdefault((up[v] ^ 1 << v, down[v] ^ 1 << v), v)) for v in range(k)]
+
+    def refine(cells):
+        while True:
+            masks = [sum(1 << v for v in c) for c in cells]
+            out = []
+            for c in cells:
+                if len(c) == 1:
+                    out.append(c)
+                    continue
+                groups = {}
+                for v in c:
+                    sig = (tuple(map(int.bit_count, map(up[v].__and__, masks))),
+                           tuple(map(int.bit_count, map(down[v].__and__, masks))))
+                    groups.setdefault(sig, []).append(v)
+                out.extend(groups[sig] for sig in sorted(groups))
+            if len(out) == len(cells):
+                return cells
+            cells = out
+
+    def leaves(cells, weight):
+        cells = refine(cells)
+        i = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if i is None:
+            order = [v for v, in cells]
+            labelling = tuple(sorted(range(k), key=order.__getitem__))   # order's inverse
+            yield (tuple(sum(1 << labelling[j] for j in range(k) if up[v] >> j & 1)
+                         for v in order), labelling, weight)
+            return
+        classes = {}
+        for v in cells[i]:
+            classes.setdefault(twin[v], []).append(v)
+        for v, *others in classes.values():
+            rest = [u for u in cells[i] if u != v]
+            yield from leaves(cells[:i] + [[v], rest] + cells[i + 1:],
+                              weight * (1 + len(others)))
+
+    found = sorted(leaves([list(range(k))], 1))    # with k = 0 the empty cell refines away
+    key, labelling, _ = found[0]
+    return key, labelling, sum(weight for leaf, _, weight in found if leaf == key)
 
 
 def isomorphic_rows(a, b) -> bool:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import needs_n6, needs_n7
+from conftest import needs_n6, needs_n7, needs_n8
 from revtop.enumeration import catalog
 
 RUN = [sys.executable, "-m", "revtop"]
@@ -125,6 +125,21 @@ def test_classify_formats():
     parsed = [json.loads(line) for line in rows.stdout.decode().splitlines()]
     assert [r["classification"] for r in parsed] == [
         "discrete", "not_strongly_reversible", "antidiscrete"]
+
+
+def test_classify_summary_counts_its_own_rows(monkeypatch, capsys):
+    # the counts come from the orbits the command classified, not from a
+    # second walk of the cover graph
+    import revtop.cli as cli
+    import revtop.enumeration as enumeration
+
+    def forbidden(n):
+        raise RuntimeError("walked the cover graph")
+
+    monkeypatch.setattr(enumeration, "cover_graph", forbidden)
+    monkeypatch.setattr(cli, "catalog", enumeration.enumerate_topologies)
+    assert cli.main(["classify", "--n", "3"]) == 0
+    assert capsys.readouterr().out == "n=3 topologies=29 orbits=9 strongly_reversible_orbits=2\n"
 
 
 def test_order_outputs(tmp_path):
@@ -292,6 +307,14 @@ def test_enum_and_order_n7(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "n=7 topologies=9535241 orbits=4535\n"
     assert main(["order", "--n", "7"]) == 0
     assert capsys.readouterr().out == "n=7 nodes=4535 edges=24192\n"
+
+
+@needs_n8
+def test_enum_n8(monkeypatch, capsys):
+    from revtop.cli import main
+    monkeypatch.setenv("REVTOP_MAX_N", "8")
+    assert main(["enum", "--n", "8"]) == 0
+    assert capsys.readouterr().out == "n=8 topologies=642779354 orbits=35979\n"
 
 
 def test_verify_all_suites_pass():

@@ -11,6 +11,7 @@ from conftest import (
     brute_force_preorders,
     brute_force_topologies,
     needs_n6,
+    reference_canonical_preorder,
     relabelled_rows,
     topology_of_preorder,
     transported_catalog,
@@ -19,13 +20,14 @@ from conftest import (
 import revtop.enumeration as enumeration
 import revtop.topology as topology
 from revtop.enumeration import (
+    _cover_rows,
     _preorders,
     _up_opens,
     canonical_preorder,
     catalog,
+    cover_graph,
     enumerate_topologies,
     enumerate_topologies_by_closure,
-    preorder_of_topology,
 )
 from revtop.topology import (
     CapExceededError,
@@ -33,6 +35,7 @@ from revtop.topology import (
     TopologyError,
     adjoin_open,
     mask_tables,
+    preorder_of_topology,
     validate_topology,
 )
 
@@ -63,9 +66,10 @@ def test_closure_route_reads_no_preorders(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the closure route read the production catalog")
 
-    for name in ("_preorders", "_up_opens", "preorder_of_topology", "enumerate_topologies",
+    for name in ("_preorders", "_up_opens", "enumerate_topologies",
                  "enumerate_topologies_via_preorders", "catalog"):
         monkeypatch.setattr(enumeration, name, forbidden)
+    monkeypatch.setattr(topology, "preorder_of_topology", forbidden)
     assert len(enumeration.enumerate_topologies_by_closure(4)) == 355
 
 
@@ -468,6 +472,19 @@ def test_canonical_preorder_n6(monkeypatch):
         assert aut * len(orbit) == 720, rep
         keys.add(key)
     assert len(keys) == cat.orbit_count == 718
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_canonical_preorder_matches_the_reference_on_every_preorder(n):
+    for rows in brute_force_preorders(n):
+        assert canonical_preorder(rows) == reference_canonical_preorder(rows), rows
+
+
+@needs_n6
+def test_canonical_preorder_matches_the_reference_on_the_cover_rows_n6(monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    for rows in {tuple(r) for key in cover_graph(6)[0] for r in _cover_rows(key)}:
+        assert canonical_preorder(rows) == reference_canonical_preorder(rows), rows
 
 
 def crown_pairs(m: int, offset: int) -> list[tuple[int, int]]:

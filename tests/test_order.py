@@ -14,13 +14,13 @@ from conftest import (
     relabelled_rows,
 )
 
+import revtop.enumeration as enumeration
 from revtop.enumeration import (
     _cover_rows,
     _up_opens,
     canonical_preorder,
     catalog,
     cover_graph,
-    preorder_of_topology,
 )
 from revtop.order import (
     LEQ_METHODS,
@@ -47,6 +47,7 @@ from revtop.topology import (
     image_topology,
     opens_bitset,
     preimages_open,
+    preorder_of_topology,
 )
 
 SIERP = FiniteTopology(2, (0, 1, 3))
@@ -368,6 +369,21 @@ def test_cover_graph_counts_the_orbits(monkeypatch, n):
     keys, sizes, covers = cover_graph(n)
     assert (len(keys), sum(sizes)) == KNOWN[n]
     assert len(set(keys)) == len(keys) == len(covers)
+
+
+def test_cover_graph_keys_each_rows_tuple_once(monkeypatch):
+    # one key call for the antidiscrete start and one per distinct cover
+    # rows tuple
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    calls = []
+    key_of = enumeration.canonical_preorder
+    monkeypatch.setattr(enumeration, "canonical_preorder",
+                        lambda rows: calls.append(rows) or key_of(rows))
+    for n, distinct in {5: 427, 6: 2800}.items():
+        calls.clear()
+        keys = cover_graph(n)[0]
+        assert len(calls) == 1 + len({tuple(r) for key in keys for r in _cover_rows(key)})
+        assert len(calls) == 1 + distinct
 
 
 def unpruned_cover_keys(rows):

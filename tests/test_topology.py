@@ -10,9 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_fault
+from conftest import (
+    brute_force_canonical_form,
+    closure_fault,
+    needs_n7,
+    relabelled_rows,
+)
 
-from revtop.enumeration import catalog
+from revtop.enumeration import _up_opens, catalog, cover_graph
 from revtop.topology import (
     DimensionMismatchError,
     FiniteTopology,
@@ -269,6 +274,52 @@ def test_canonical_form_separates_orbits(cat3):
         for b in tops[::4]:
             same_orbit = rep_of[a] == rep_of[b]
             assert (canonical_form(a) == canonical_form(b)) == same_orbit
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_canonical_form_is_the_least_image_of_every_labelled_topology(n):
+    for t in catalog(n).topologies:
+        assert canonical_form(t) == brute_force_canonical_form(t), t
+
+
+def assert_least_images_of_the_nodes(n):
+    # the nodes' rows are their keys, which are seldom their least images
+    for key in cover_graph(n)[0]:
+        t = FiniteTopology(n, _up_opens(key))
+        assert canonical_form(t) == brute_force_canonical_form(t), key
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_canonical_form_is_the_least_image_of_every_node(monkeypatch, n):
+    monkeypatch.setenv("REVTOP_MAX_N", "6")
+    assert_least_images_of_the_nodes(n)
+
+
+@needs_n7
+def test_canonical_form_is_the_least_image_of_every_node_n7(monkeypatch):
+    monkeypatch.setenv("REVTOP_MAX_N", "7")
+    assert_least_images_of_the_nodes(7)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_canonical_form_where_every_point_is_a_twin(n):
+    # each is alone in its orbit; the search places one point per level
+    for t in (discrete_topology(n), antidiscrete_topology(n)):
+        assert canonical_form(t) == t
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_canonical_form_of_two_equal_chains(length):
+    # chains of two or more points are not twins, so the search keeps the
+    # assignments that swapping the chains maps onto each other
+    up = [sum(1 << j for j in range(i, (i // length + 1) * length)) for i in range(2 * length)]
+    n = len(up)
+    rng = random.Random(length)
+    forms = set()
+    for _ in range(8):
+        t = FiniteTopology(n, _up_opens(relabelled_rows(up, rng.sample(range(n), n))))
+        forms.add(canonical_form(t))
+        assert forms == {brute_force_canonical_form(t)}, t
 
 
 @pytest.mark.parametrize("n", range(5))
