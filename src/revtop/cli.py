@@ -179,6 +179,14 @@ def cmd_ostar(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _read_text(path: str | None) -> str:
+    """The text of the file at path, or of stdin when path is None or "-"."""
+    if path and path != "-":
+        with open(path) as handle:
+            return handle.read()
+    return sys.stdin.read()
+
+
 def cmd_ramsey(args) -> int:
     if args.mode == "increasing":       # it seeks --k values among the first --fuel
         _require("--k", args.k)
@@ -186,11 +194,7 @@ def cmd_ramsey(args) -> int:
     else:
         _require("--k", args.k, least=0)     # --k 0 asks for no size
     # the text and its tokens are freed once parsed, before the extraction
-    if args.input and args.input != "-":
-        with open(args.input) as handle:
-            values = [int(tok) for tok in handle.read().split()]
-    else:
-        values = [int(tok) for tok in sys.stdin.read().split()]
+    values = list(map(int, _read_text(args.input).split()))
     if args.mode == "pairs":
         coloring = ("increasing_pairs" if args.coloring == "increasing"
                     else "distinct_pairs")
@@ -198,7 +202,7 @@ def cmd_ramsey(args) -> int:
     elif args.mode == "injective":
         result = ramsey_mod.constant_or_injective(values)
     else:
-        result = ramsey_mod.constant_or_increasing(iter(values), args.k, args.fuel)
+        result = ramsey_mod.constant_or_increasing(values, args.k, args.fuel)
     if result is None:
         sys.stdout.write(_dumps({"found": False}) + "\n")
         return 1

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
+from operator import ge, itemgetter, lt, neg
 
 COLORINGS = ("increasing_pairs", "distinct_pairs")
 
@@ -22,6 +23,8 @@ KIND_CONSTANT = "constant"
 KIND_STRICTLY_INCREASING = "strictly_increasing"
 KIND_INJECTIVE = "injective"
 KIND_NON_INCREASING = "non_increasing"
+
+_PROBE = 64     # leading values whose repeats pick the first table of the distinct coloring
 
 
 class HomogeneousResult(namedtuple("HomogeneousResult", ("indices", "kind", "value"),
@@ -32,7 +35,9 @@ class HomogeneousResult(namedtuple("HomogeneousResult", ("indices", "kind", "val
     __slots__ = ()
 
     def to_json(self) -> dict:
-        data = {"indices": list(self.indices), "kind": self.kind}
+        """The result as JSON-ready data; indices stay a tuple, which json
+        writes as an array."""
+        data = {"indices": self.indices, "kind": self.kind}
         if self.value is not None:
             data["value"] = self.value
         return data
@@ -41,19 +46,19 @@ class HomogeneousResult(namedtuple("HomogeneousResult", ("indices", "kind", "val
 def verify_result(values, result: HomogeneousResult) -> bool:
     """Independent re-check of a claimed homogeneous set against the sequence."""
     idx = result.indices
-    if not idx or any(b <= a for a, b in zip(idx, idx[1:])):
+    if not idx or idx[0] < 0 or idx[-1] >= len(values):
         return False
-    if idx[0] < 0 or idx[-1] >= len(values):
+    if not all(map(lt, idx, islice(idx, 1, None))):
         return False
-    picked = [values[i] for i in idx]
+    picked = itemgetter(*idx)(values) if len(idx) > 1 else (values[idx[0]],)
     if result.kind == KIND_CONSTANT:
-        return all(v == result.value for v in picked)
+        return picked.count(result.value) == len(picked)
     if result.kind == KIND_STRICTLY_INCREASING:
-        return all(a < b for a, b in zip(picked, picked[1:]))
+        return all(map(lt, picked, islice(picked, 1, None)))
     if result.kind == KIND_INJECTIVE:
         return len(set(picked)) == len(picked)
     if result.kind == KIND_NON_INCREASING:
-        return all(a >= b for a, b in zip(picked, picked[1:]))
+        return all(map(ge, picked, islice(picked, 1, None)))
     return False
 
 
@@ -100,25 +105,46 @@ def _longest_run(values, find, stop: int = 0) -> list[int]:
     return out[::-1]
 
 
-def _constant_or_rainbow(values, threshold: int | None = None) -> HomogeneousResult:
+def _first_positions(values: list) -> dict:
+    """Each value's first position, as the last write when read from the end."""
+    return dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+
+
+def _first_copies(values: list, value, count: int) -> list[int]:
+    """Indices of the first count copies of value, which values holds."""
+    out = [values.index(value)]
+    for _ in range(count - 1):
+        out.append(values.index(value, out[-1] + 1))
+    return out
+
+
+def _constant_or_rainbow(values: list, threshold: int | None = None) -> HomogeneousResult:
     """One of the two homogeneous sets of the distinct coloring: the positions
     of the least most frequent value (constant), or the first position of
     each value (injective).  The constant set is taken when its size reaches
     threshold, by default when it is larger than the injective one; only the
-    set taken is built."""
+    set taken is built.
+
+    The injective set reads a table of first positions, the constant one a
+    count of each value, and either gives the number d of distinct values.
+    With no repeat among the first _PROBE values the table is built first:
+    no value occurs more than n - d + 1 times among n, so when that is below
+    the size the constant set needs, nothing is counted."""
+    n = len(values)
+    first = None
+    probe = values[:_PROBE]
+    if len(set(probe)) == len(probe):
+        first = _first_positions(values)
+        if n - len(first) + 1 < (len(first) + 1 if threshold is None else threshold):
+            return HomogeneousResult(tuple(sorted(first.values())), KIND_INJECTIVE)
     counts = Counter(values)
     top = max(counts.values())
     if top >= (len(counts) + 1 if threshold is None else threshold):
         value = min(v for v in counts if counts[v] == top)
-        picked = tuple(i for i, v in enumerate(values) if v == value)
-        return HomogeneousResult(picked, KIND_CONSTANT, value)
-    seen: set[int] = set()
-    first = []
-    for i, v in enumerate(values):
-        if v not in seen:
-            seen.add(v)
-            first.append(i)
-    return HomogeneousResult(tuple(first), KIND_INJECTIVE)
+        return HomogeneousResult(tuple(_first_copies(values, value, top)), KIND_CONSTANT, value)
+    if first is None:
+        first = _first_positions(values)
+    return HomogeneousResult(tuple(sorted(first.values())), KIND_INJECTIVE)
 
 
 def homogeneous_pairs(values, coloring: str = "increasing_pairs") -> HomogeneousResult:
@@ -135,10 +161,10 @@ def homogeneous_pairs(values, coloring: str = "increasing_pairs") -> Homogeneous
     if coloring != "increasing_pairs":
         raise ValueError(f"unknown coloring {coloring!r}")
     inc = _longest_run(values, bisect_left)
-    dec = _longest_run((-v for v in values), bisect_right)  # non-increasing
+    dec = _longest_run(map(neg, values), bisect_right)   # non-increasing
     if len(inc) >= len(dec):
         result = HomogeneousResult(tuple(inc), KIND_STRICTLY_INCREASING)
-    elif len({values[i] for i in dec}) == 1:
+    elif values[dec[0]] == values[dec[-1]]:           # a non-increasing run is constant
         result = HomogeneousResult(tuple(dec), KIND_CONSTANT, values[dec[0]])
     else:
         result = HomogeneousResult(tuple(dec), KIND_NON_INCREASING)
@@ -165,29 +191,62 @@ def constant_or_increasing(stream, target: int, fuel: int) -> HomogeneousResult 
 
     The dichotomy is a theorem only for total functions on the naturals, so
     exhausting the fuel returns None rather than fabricating a witness.
-    After each read the constant check runs before the increasing check.
+    The answer is the one a value-by-value reader gives when after each read
+    it checks for target copies of a value before the increasing run: the
+    constant set wins when its last copy is at or before the index where
+    the run first reaches the target size.  The stream is read in slices,
+    each a quarter longer than the last, from `target` values on, so the
+    call may take more values than the answer needs, though never more than
+    `fuel`.  The run reads each slice first; the slice is then counted, and
+    a value is searched for only once the pigeonhole bound lets one reach
+    target copies.
     """
     if target < 1:
         raise ValueError("target size must be positive")
     if fuel < target:
         raise ValueError("fuel must be at least the target size")
-    values: list = []
-    counts: dict[int, int] = {}
+    source = islice(stream, fuel)
+    values: list = []              # every value read
+    counts: Counter = Counter()    # of values[:counted]; none of them reaches target
+    counted = 0
+    hit = None                     # index of the first target-th copy of a value
 
-    def unrepeated():
-        """The values read, until one of them occurs target times."""
-        for v in islice(stream, fuel):
-            values.append(v)
-            counts[v] = seen = counts.get(v, 0) + 1
-            if seen == target:
+    def count_to(end: int) -> int | None:
+        """Count the values up to end; the index where a value first got
+        its target-th copy among them, else None.  With d distinct values
+        among n counted, none occurs more than n - d + 1 times."""
+        nonlocal counted
+        start, counted = counted, end
+        counts.update(values[start:end])
+        if end - len(counts) + 1 < target or max(counts.values(), default=0) < target:
+            return None
+        first = None
+        for i in range(end - 1, start - 1, -1):    # counts[v] is v's copies up to i
+            v = values[i]
+            if counts[v] == target:
+                first = i
+            counts[v] -= 1
+        return first
+
+    def slices():
+        """The values read, a slice at a time, each counted once the run has
+        read all of it, until one holds a value's target-th copy."""
+        nonlocal hit
+        size = target
+        while chunk := list(islice(source, size)):
+            values.extend(chunk)
+            yield chunk
+            hit = count_to(len(values))
+            if hit is not None:
                 return
-            yield v
+            size += (size + 3) // 4
 
-    run = _longest_run(unrepeated(), bisect_left, target)
-    if values and counts[values[-1]] == target:    # reading stopped on a repeat
-        value = values[-1]
-        picked = tuple(i for i, v in enumerate(values) if v == value)
-        result = HomogeneousResult(picked, KIND_CONSTANT, value)
+    run = _longest_run(chain.from_iterable(slices()), bisect_left, target)
+    if len(run) == target:         # the slice read last is counted up to the run's end
+        hit = count_to(run[-1] + 1)
+    if hit is not None:
+        result = HomogeneousResult(tuple(_first_copies(values, values[hit], target)),
+                                   KIND_CONSTANT, values[hit])
     elif len(run) == target:
         result = HomogeneousResult(tuple(run), KIND_STRICTLY_INCREASING)
     else:

@@ -1,6 +1,8 @@
 import os
+from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from operator import itemgetter
 
 import pytest
@@ -8,6 +10,15 @@ import pytest
 from revtop.descriptors import Z_FIRST, AllZ, ClosedLeftZ, EmptyZ, OpenLeftZ
 from revtop.enumeration import _bits, catalog
 from revtop.order import CondOrderDigraph, _covers
+from revtop.ramsey import (
+    KIND_CONSTANT,
+    KIND_INJECTIVE,
+    KIND_NON_INCREASING,
+    KIND_STRICTLY_INCREASING,
+    HomogeneousResult,
+    _checked,
+    _longest_run,
+)
 from revtop.topology import (
     FiniteTopology,
     adjoin_open,
@@ -284,6 +295,77 @@ def z_points(d, window) -> frozenset:
     if isinstance(d, OpenLeftZ):
         return frozenset(p for p in window if p is not Z_FIRST and p < d.b)
     raise AssertionError(d)
+
+
+def reference_verify_result(values, result: HomogeneousResult) -> bool:
+    """Oracle for :func:`revtop.ramsey.verify_result`: each check written as
+    a plain loop over the claimed indices and the values they pick."""
+    idx = result.indices
+    if not idx or any(b <= a for a, b in zip(idx, idx[1:])):
+        return False
+    if idx[0] < 0 or idx[-1] >= len(values):
+        return False
+    picked = [values[i] for i in idx]
+    if result.kind == KIND_CONSTANT:
+        return all(v == result.value for v in picked)
+    if result.kind == KIND_STRICTLY_INCREASING:
+        return all(a < b for a, b in zip(picked, picked[1:]))
+    if result.kind == KIND_INJECTIVE:
+        return len(set(picked)) == len(picked)
+    if result.kind == KIND_NON_INCREASING:
+        return all(a >= b for a, b in zip(picked, picked[1:]))
+    return False
+
+
+def reference_constant_or_rainbow(values, threshold: int | None = None) -> HomogeneousResult:
+    """Oracle for :func:`revtop.ramsey._constant_or_rainbow`: every value
+    counted, then the first positions taken by one pass with a seen set."""
+    counts = Counter(values)
+    top = max(counts.values())
+    if top >= (len(counts) + 1 if threshold is None else threshold):
+        value = min(v for v in counts if counts[v] == top)
+        picked = tuple(i for i, v in enumerate(values) if v == value)
+        return HomogeneousResult(picked, KIND_CONSTANT, value)
+    seen: set[int] = set()
+    first = []
+    for i, v in enumerate(values):
+        if v not in seen:
+            seen.add(v)
+            first.append(i)
+    return HomogeneousResult(tuple(first), KIND_INJECTIVE)
+
+
+def reference_constant_or_increasing(stream, target: int, fuel: int):
+    """Oracle for :func:`revtop.ramsey.constant_or_increasing`: a reader that
+    takes one value at a time, stops as soon as a value occurs target times
+    (checked first) or the increasing run reaches target, and so reads no
+    value past the one that decides."""
+    if target < 1:
+        raise ValueError("target size must be positive")
+    if fuel < target:
+        raise ValueError("fuel must be at least the target size")
+    values: list = []
+    counts: dict[int, int] = {}
+
+    def unrepeated():
+        """The values read, until one of them occurs target times."""
+        for v in islice(stream, fuel):
+            values.append(v)
+            counts[v] = seen = counts.get(v, 0) + 1
+            if seen == target:
+                return
+            yield v
+
+    run = _longest_run(unrepeated(), bisect_left, target)
+    if values and counts[values[-1]] == target:    # reading stopped on a repeat
+        value = values[-1]
+        picked = tuple(i for i, v in enumerate(values) if v == value)
+        result = HomogeneousResult(picked, KIND_CONSTANT, value)
+    elif len(run) == target:
+        result = HomogeneousResult(tuple(run), KIND_STRICTLY_INCREASING)
+    else:
+        return None
+    return _checked(values, result, "stream witness")
 
 
 @pytest.fixture(scope="session")

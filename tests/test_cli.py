@@ -536,6 +536,22 @@ def test_ramsey_bad_token_in_file_is_usage_error(tmp_path):
     assert proc.stderr == b"error: invalid literal for int() with base 10: '0x7'\n"
 
 
+def test_ramsey_parses_unicode_whitespace_and_digits(tmp_path):
+    """Tokens are split by str.split and read by int, from a file and from
+    stdin alike: an em space and a no-break space separate values, and
+    Arabic-Indic digits are a number."""
+    text = "3\u20031\u00a02 \u0661\u0662 5\n"
+    source = tmp_path / "vals.txt"
+    source.write_bytes(text.encode())
+    env = dict(os.environ, PYTHONUTF8="1")     # decode both as UTF-8 whatever the locale
+    want = b'{"found":true,"indices":[1,2,4],"kind":"strictly_increasing","size":3}\n'
+    args = RUN + ["ramsey", "--mode", "pairs", "--coloring", "increasing"]
+    for extra, stdin in (([str(source)], b""), ([], text.encode()), (["-"], text.encode())):
+        proc = subprocess.run(args + extra, capture_output=True, input=stdin, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b""), extra
+
+
 def test_failed_self_check_is_internal_error(tmp_path, monkeypatch, capsys):
     import revtop.ramsey
     from revtop.cli import main

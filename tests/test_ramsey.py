@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    reference_constant_or_increasing,
+    reference_constant_or_rainbow,
+    reference_verify_result,
+)
 from revtop.ramsey import (
     KIND_CONSTANT,
     KIND_INJECTIVE,
     KIND_NON_INCREASING,
     KIND_STRICTLY_INCREASING,
+    _PROBE,
     HomogeneousResult,
+    _constant_or_rainbow,
     _longest_run,
     constant_or_increasing,
     constant_or_injective,
@@ -215,24 +222,179 @@ def test_constant_or_increasing_preconditions():
 
 
 def test_self_check_survives_optimisation():
-    code = ("import revtop.ramsey as r\n"
-            "r.verify_result = lambda values, result: False\n"
-            "r.homogeneous_pairs([3, 1, 2])\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode != 0
-    assert "AssertionError" in proc.stderr
+    """Each public extraction raises AssertionError under python -O when its
+    result fails verification."""
+    for call in ("r.homogeneous_pairs([3, 1, 2])",
+                 "r.constant_or_injective([3, 1, 2])",
+                 "r.constant_or_increasing(iter([1, 2, 3]), 2, 3)"):
+        code = ("import revtop.ramsey as r\n"
+                "r.verify_result = lambda values, result: False\n"
+                f"{call}\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode != 0, call
+        assert "AssertionError" in proc.stderr, call
 
 
 def test_verifier_rejects_bad_claims():
     seq = [1, 2, 3]
-    assert not verify_result(seq, HomogeneousResult((0, 0), KIND_INJECTIVE))
-    assert not verify_result(seq, HomogeneousResult((0, 5), KIND_INJECTIVE))
-    assert not verify_result(seq, HomogeneousResult((0, 1), KIND_CONSTANT, 1))
-    assert not verify_result(seq, HomogeneousResult((2, 1), KIND_STRICTLY_INCREASING))
-    assert not verify_result(seq, HomogeneousResult((0, 1), KIND_NON_INCREASING))
-    assert not verify_result(seq, HomogeneousResult((), KIND_INJECTIVE))
-    assert verify_result(seq, HomogeneousResult((0, 1), KIND_STRICTLY_INCREASING))
+    repeats = [1, 1, 2]
+    bad = [
+        (seq, HomogeneousResult((), KIND_INJECTIVE)),                  # empty
+        (seq, HomogeneousResult((-1, 1), KIND_INJECTIVE)),             # negative first index
+        (seq, HomogeneousResult((0, 0), KIND_INJECTIVE)),              # repeated index
+        (seq, HomogeneousResult((2, 1), KIND_STRICTLY_INCREASING)),    # decreasing indices
+        (seq, HomogeneousResult((0, 5), KIND_INJECTIVE)),              # past the end
+        (seq, HomogeneousResult((1, 3), KIND_INJECTIVE)),              # last index == len
+        (seq, HomogeneousResult((0, 1), KIND_CONSTANT, 1)),            # one value differs
+        (repeats, HomogeneousResult((0, 1, 2), KIND_CONSTANT, 1)),
+        (repeats, HomogeneousResult((0, 1), KIND_STRICTLY_INCREASING)),  # equal neighbours
+        (seq, HomogeneousResult((0, 1), KIND_NON_INCREASING)),         # a rise
+        (repeats, HomogeneousResult((0, 1), KIND_INJECTIVE)),          # a repeated value
+        (seq, HomogeneousResult((0, 1), "sideways")),                  # unknown kind
+    ]
+    for values, claim in bad:
+        assert not verify_result(values, claim), claim
+    good = [
+        (seq, HomogeneousResult((0, 1), KIND_STRICTLY_INCREASING)),
+        (repeats, HomogeneousResult((0, 1), KIND_CONSTANT, 1)),
+        (repeats, HomogeneousResult((0, 2), KIND_INJECTIVE)),
+        (repeats, HomogeneousResult((0, 1), KIND_NON_INCREASING)),
+        (seq, HomogeneousResult((2,), KIND_NON_INCREASING)),
+    ]
+    for values, claim in good:
+        assert verify_result(values, claim), claim
+
+
+KINDS = (KIND_CONSTANT, KIND_STRICTLY_INCREASING, KIND_INJECTIVE, KIND_NON_INCREASING,
+         "sideways")
+
+
+@given(st.lists(st.integers(0, 4), max_size=12),
+       st.lists(st.integers(-2, 13), max_size=8), st.sampled_from(KINDS),
+       st.none() | st.integers(0, 4))
+@settings(max_examples=400, deadline=None)
+def test_verifier_matches_the_plain_reference(seq, indices, kind, value):
+    """Arbitrary claims, most of them wrong: unsorted, repeated, negative or
+    past-the-end indices, every kind and a stray value."""
+    for idx in (indices, sorted(set(indices))):
+        claim = HomogeneousResult(tuple(idx), kind, value)
+        assert verify_result(seq, claim) == reference_verify_result(seq, claim), claim
+
+
+def _seeded_sequences(seed: int):
+    """Seeded inputs for the oracle comparisons: small alphabets with heavy
+    repeats, skewed draws, wide draws and runs."""
+    rng = random.Random(seed)
+    cases = [[0], [5, 5], [1, 2], list(range(20)), list(range(20, 0, -1)), [7] * 30,
+             list(range(_PROBE)) + [5] * 100, [0, 0] + list(range(1, 100))]
+    for _ in range(300):
+        n = rng.randrange(1, 80)
+        alphabet = rng.choice((1, 2, 3, 5, 10, 100, 10**9))
+        cases.append([rng.randrange(alphabet) for _ in range(n)])
+        cases.append([min(rng.randrange(alphabet), rng.randrange(alphabet))
+                      for _ in range(n)])                           # skewed to small values
+        cases.append([i // rng.randrange(1, 5) + rng.randrange(3) for i in range(n)])
+    for _ in range(100):
+        # the leading values decide which table the distinct coloring builds first
+        head = rng.sample(range(10**6), _PROBE - rng.randrange(2))
+        cases.append(head + [rng.randrange(rng.choice((3, 50, 10**6)))
+                             for _ in range(rng.randrange(200))])
+    return cases
+
+
+def _pigeonhole_edges():
+    """Inputs where n - distinct + 1 equals the size the constant set needs:
+    one value holds every repeat, or the repeats are spread over values."""
+    cases = []
+    for d in range(1, 8):
+        for extra in range(0, 8):
+            n = d + extra
+            # one value holds all n - d + 1 copies
+            cases.append(([0] * (extra + 1) + list(range(1, d)), extra + 1))
+            cases.append((list(range(1, d)) + [0] * (extra + 1), extra + 1))
+            # the same n and d with the repeats spread over two values
+            if d >= 2 and extra >= 2:
+                half = extra // 2
+                spread = [0] * (half + 1) + [1] * (extra - half + 1) + list(range(2, d))
+                assert len(spread) == n and len(set(spread)) == d
+                cases.append((spread, extra + 1))
+            # threshold None needs distinct + 1 copies: n = 2 * distinct
+            if extra == d:
+                cases.append(([0] * (d + 1) + list(range(1, d)), None))
+                cases.append((list(range(d - 1, 0, -1)) + [0] * (d + 1), None))
+                cases.append(([0] * d + list(range(1, d + 1)), None))
+    return cases
+
+
+def _triple(result):
+    return None if result is None else (result.indices, result.kind, result.value)
+
+
+def test_constant_or_rainbow_matches_the_oracle():
+    cases = [(values, threshold) for values in _seeded_sequences(34)
+             for threshold in (None, 1, 2, sqrt_bound(len(values)), len(values))]
+    cases += _pigeonhole_edges()
+    for values, threshold in cases:
+        want = reference_constant_or_rainbow(values, threshold)
+        got = _constant_or_rainbow(values, threshold)
+        assert _triple(got) == _triple(want), (values, threshold)
+        assert type(got.indices) is tuple
+
+
+def _stream_edges():
+    """(values, target, fuel) where the constant check and the run decide at
+    the same index, or one index apart."""
+    return [
+        ([2, 2, 0, 1, 2], 3, 5),           # target-th copy completes the run: constant
+        ([2, 2, 0, 1, 3, 2], 3, 6),        # the run completes first
+        ([0, 1, 1, 2], 2, 4),              # copy first: constant at index 2
+        ([0, 1, 2, 1], 3, 4),              # run at index 2, copy only later
+        ([5, 5], 2, 2),                    # copy completes on the last value of fuel
+        ([3, 2, 1, 3, 2, 1], 3, 6),        # fuel exhausted: neither
+        ([3, 2, 1, 3, 2, 1, 3], 3, 6),     # the deciding copy lies past the fuel
+        ([4, 4, 4], 1, 3),                 # target 1: the first value is constant
+        ([], 1, 3),                        # empty stream
+        ([], 2, 9),
+        (list(range(10)), 10, 10),         # the run ends on the last value
+        ([9] * 10, 10, 10),
+    ]
+
+
+def test_constant_or_increasing_matches_the_oracle():
+    cases = _stream_edges()
+    rng = random.Random(3434)
+    for values in _seeded_sequences(35):
+        for target in {1, 2, 3, rng.randrange(1, 8), len(values)}:
+            for fuel in {max(target, f) for f in (0, len(values) // 2, len(values),
+                                                  len(values) + 5)}:
+                cases.append((values, target, fuel))
+    for alphabet in (3, 50, 400, 10**6):       # long streams: the answer lies many slices in
+        values = [rng.randrange(alphabet) for _ in range(3000)]
+        for target in (5, 20, 60, 200):
+            cases.append((values, target, len(values)))
+    for values, target, fuel in cases:
+        want = reference_constant_or_increasing(iter(values), target, fuel)
+        got = constant_or_increasing(iter(values), target, fuel)
+        assert _triple(got) == _triple(want), (values, target, fuel)
+        assert constant_or_increasing(values, target, fuel) == got    # a list as the stream
+    for stream, target, fuel in [(count, 1, 1), (count, 25, 25), (count, 600, 10**4),
+                                 (lambda: repeat(3), 1, 5), (lambda: repeat(3), 40, 100),
+                                 (lambda: count(1000, -1), 4, 300),
+                                 (lambda: (i % 7 for i in count()), 9, 10**4)]:
+        want = reference_constant_or_increasing(stream(), target, fuel)
+        assert _triple(constant_or_increasing(stream(), target, fuel)) == _triple(want)
+
+
+def test_constant_or_increasing_reads_the_stream_in_slices():
+    """The stream is read a slice at a time, so an answer near the start
+    leaves the rest of the fuel unread, and no more than fuel is taken."""
+    stream = count()
+    assert constant_or_increasing(stream, 3, 10**9).indices == (0, 1, 2)
+    assert next(stream) == 3
+    stream = count(1000, -1)            # never increasing, never repeating
+    assert constant_or_increasing(stream, 2, 50) is None
+    assert next(stream) == 950
 
 
 @given(st.lists(st.integers(0, 30), min_size=2, max_size=60))
