@@ -26,7 +26,7 @@ neither preorders nor the catalog.  Both must produce identical catalogs
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, islice
 from math import factorial
 
 from .topology import (
@@ -35,9 +35,11 @@ from .topology import (
     check_ground,
     computed_topologies,
     down_rows,
+    family_bitset,
     full_mask,
     least_twins,
     orbit_opens,
+    power_tables,
 )
 
 
@@ -255,10 +257,10 @@ def _path_fails(path, base: set[int], g: int) -> bool:
     return not base.issuperset(map(g.__and__, path))
 
 
-def _adjoin_above(opens, base: set[int], g: int) -> set[int]:
-    """The opens of the closure of the opens and g when every cut b & g is
-    open or g: the opens together with the unions a | g."""
-    return base.union([a | g for a in opens])
+def _adjoin_above(base: set[int], g: int) -> set[int]:
+    """The opens of the closure of the opens ``base`` and g when every cut
+    b & g is open or g: the opens together with the unions a | g."""
+    return base.union([a | g for a in base])
 
 
 def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
@@ -292,27 +294,29 @@ def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
     a proper subset of p, so it is less than p, which is at most ``last``.
     Every open that D adds to T contains a generator greater than ``last``,
     so it is greater than ``last``.  So p & g is not in D, a contradiction.
-    The stack is explicit because the depth reaches 2^n - 2.  Sorted like
-    the catalog."""
+    The stack is explicit because the depth reaches 2^n - 2.  Each result
+    is recorded as the bitset of its opens, and all are decided together by
+    the batch check of :func:`computed_topologies`.  Sorted like the
+    catalog."""
     check_ground(n)
     full = full_mask(n)
-    start = antidiscrete_topology(n).opens
-    found = [start]
-    stack = [(start, set(start), (), frozenset())]
+    start = set(antidiscrete_topology(n).opens)
+    found = [family_bitset(start)]      # each topology's open family as a bitset
+    stack = [(start, (), frozenset())]
     while stack:
-        opens, base, path, skip = stack.pop()
-        failed = set(skip)     # holds for every descendant: they contain opens
+        base, path, skip = stack.pop()
+        failed = set(skip)     # holds for every descendant: they contain base
         for g in filterfalse(base.__contains__, range(path[-1] + 1 if path else 1, full)):
             if g in skip:
                 continue
             if _path_fails(path, base, g):
                 failed.add(g)
             else:
-                child = _adjoin_above(opens, base, g)
-                found.append(tuple(sorted(child)))
+                child = _adjoin_above(base, g)
+                found.append(family_bitset(child))
                 # the children share failed, complete before any is popped
-                stack.append((found[-1], child, path + (g,), failed))
-    return computed_topologies(n, sorted(found))
+                stack.append((child, path + (g,), failed))
+    return tuple(sorted(computed_topologies(n, found)))
 
 
 def enumerate_topologies_via_preorders(n: int) -> tuple[FiniteTopology, ...]:
@@ -360,24 +364,29 @@ def _orbit_map(n: int) -> dict[FiniteTopology, tuple[FiniteTopology, ...]]:
     """The orbits of the topologies on n points, keyed by representative.
 
     Each size-sorted preorder (:func:`_preorders`) whose opens lie in no orbit
-    built so far expands its orbit once, through the permutation tables
-    (:func:`orbit_opens`), and the orbit's members are built through the
-    validating constructor there, so each member is checked once.  An orbit
-    that meets one already built is a program fault."""
-    seen: set[tuple[int, ...]] = set()
+    built so far expands its orbit once, as the bitsets of its permutation
+    images (:func:`orbit_opens`).  An orbit that meets one already built is a
+    program fault.  The members of all orbits are then decided together, by
+    the batch check of :func:`computed_topologies`, so each member is checked
+    exactly once."""
+    seen: set[int] = set()
     orbits = []
+    powers = power_tables(n)
     for rows in _preorders(n):
         opens = _up_opens(rows)
-        if opens in seen:
+        if family_bitset(opens) in seen:
             continue
-        images = orbit_opens(n, opens)
+        images = orbit_opens(opens, powers)
         if not seen.isdisjoint(images):
             raise AssertionError(f"the orbit of opens {list(opens)} meets an orbit "
                                  f"already built")
-        seen.update(images)
-        orbits.append(computed_topologies(n, images))
-    orbits.sort()       # by representative: distinct orbits have distinct least members
-    return {orbit[0]: orbit for orbit in orbits}
+        seen |= images
+        orbits.append(images)
+    members = iter(computed_topologies(n, chain.from_iterable(orbits)))
+    # each orbit sorted, then keyed by representative: distinct orbits have
+    # distinct least members
+    built = sorted(tuple(sorted(islice(members, len(images)))) for images in orbits)
+    return {orbit[0]: orbit for orbit in built}
 
 
 def enumerate_topologies(n: int) -> TopologyCatalog:

@@ -26,6 +26,7 @@ from .topology import (
     canonical_form,
     computed_topologies,
     discrete_topology,
+    family_bitset,
     homeo_class,
     image_opens,
     image_topology,
@@ -204,23 +205,22 @@ def conv_hull(topologies) -> tuple[FiniteTopology, ...]:
     if len({t.n for t in tops}) > 1:
         raise DimensionMismatchError("family mixes topologies on different ground sets")
     if len({len(t.opens) for t in tops}) > 1:
-        members = {t.opens for t in tops}
         family = [opens_bitset(t) for t in tops]
-        found = set(members)
-        todo = list(members)
+        found = set(family)
+        todo = [(t.opens, bits) for t, bits in zip(tops, family)]
         while todo:
-            opens = todo.pop()
-            bits = sum(map((1).__lshift__, opens))
+            opens, bits = todo.pop()
             extra = 0       # the point sets open in a member above, not in opens
             for b in family:
                 if b & bits == bits:
                     extra |= b & ~bits
             for g in _bits(extra):
                 child = adjoin_open(opens, g)
-                if child not in found:
-                    found.add(child)
-                    todo.append(child)
-        tops.update(computed_topologies(next(iter(tops)).n, found - members))
+                child_bits = family_bitset(child)
+                if child_bits not in found:
+                    found.add(child_bits)
+                    todo.append((child, child_bits))
+        tops.update(computed_topologies(next(iter(tops)).n, found.difference(family)))
     # one ground set, so the opens alone order the topologies
     return tuple(sorted(tops, key=attrgetter("opens")))
 
@@ -333,7 +333,7 @@ def condensational_order(n: int) -> CondOrderDigraph:
     orbits in decreasing open count ORs in the finished rows of the covers.
     The nodes are the orbits' least members (:func:`canonical_form`), sorted."""
     keys, sizes, covers = cover_graph(n)
-    tops = computed_topologies(n, map(_up_opens, keys))
+    tops = computed_topologies(n, map(family_bitset, map(_up_opens, keys)))
     for i, children in enumerate(covers):
         for c in children:
             if len(tops[c].opens) <= len(tops[i].opens):

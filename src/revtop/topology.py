@@ -10,8 +10,9 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from functools import lru_cache
+from itertools import cycle, islice, repeat
 from itertools import permutations as _all_perms
-from operator import itemgetter
+from operator import getitem, itemgetter, methodcaller
 
 DEFAULT_POINT_CAP = 5
 HARD_POINT_CAP = 10  # bit arithmetic stays exact; enumeration beyond this is hopeless anyway
@@ -87,7 +88,15 @@ class FiniteTopology(namedtuple("FiniteTopology", ("n", "opens"))):
     intersection (a failure names the first offending pair as its witness).
     A value is the tuple ``(n, opens)``: it hashes, compares and orders as
     that tuple, and equals it.  Every route that builds one (``_make``,
-    ``_replace``, copy and pickle) goes through the constructor.
+    ``_replace``, copy and pickle) goes through the constructor, except one:
+    :func:`computed_topologies` decides a batch of families that the program
+    computed by one exact check over all of them, and builds each value from
+    its checked family.  The check: a family F is a topology iff F equals
+    Up(<=_F), the up-sets of its specialization preorder (x <=_F y iff no
+    member holds x without y).  Proof: every member of F is such an up-set,
+    by the definition of <=_F, so F lies inside Up(<=_F); the up-sets of a
+    preorder form a topology, and a finite topology holds all of them
+    (Alexandroff 1937), so equality holds exactly when F is a topology.
     """
 
     __slots__ = ()
@@ -190,15 +199,111 @@ def _check_pairwise(n: int, ops) -> None:
                 raise NotClosedUnderIntersectionError(a, b)
 
 
-def computed_topologies(n: int, families) -> tuple[FiniteTopology, ...]:
-    """Topologies from open families the program computed itself (catalog
-    members, closure-route results, orbit images): each is built through the
-    validating constructor, but a failure is a program fault, so it raises
-    AssertionError (which survives python -O) rather than an input error."""
+_CHUNK = 1024       # families per packed int in the batch check
+
+
+@lru_cache(maxsize=None)
+def _lane_layout(n: int) -> tuple[int, int, tuple[int, ...], tuple[tuple, ...]]:
+    """The batch check's constants on n points: the lane width, max(8, 2^n)
+    bits, so that a lane is whole bytes; every, the bitset of all 2^n point
+    sets; for each ordered pair of points x != y, the bitset of the point
+    sets that hold x but not y; and for each byte of a lane, the point sets
+    that each of its 256 values stands for, in increasing order."""
+    width = max(8, 1 << n)
+    every, _, points, _ = _closure_tables(n)
+    splits = tuple(has & lacks for x, (has, _) in enumerate(points)
+                   for y, (_, lacks) in enumerate(points) if x != y)
+    reads = []
+    for start in range(0, width, 8):
+        table = [()]
+        for o in range(start, start + 8):
+            table += [sets + (o,) for sets in table]
+        reads.append(tuple(table))
+    return width, every, splits, tuple(reads)
+
+
+def _refused_lanes(n: int, data: bytes) -> int:
+    """The batch check on families packed one to a lane of ``data`` (lane i
+    is bytes i*w/8 .. (i+1)*w/8 - 1 for the lane width w, little-endian):
+    an int that is nonzero exactly in the lanes of the families that are
+    not topologies.  It is Up(<=_F) XOR F in each lane F (see
+    :class:`FiniteTopology`), made with carry-free arithmetic on all lanes
+    at once.
+
+    For each ordered pair x != y, ``split`` holds the point sets that hold
+    x but not y, so x <=_F y iff F meets no set of split.  Adding ``low``,
+    every bit of a lane below its top bit, to F & split sets the lane's top
+    bit iff F meets split.  The sum cannot carry out of the lane: split never
+    holds the full set, which is the lane's top bit from 3 points on, and
+    below 3 points the point sets fill only the low 4 bits of the 8.  The
+    lanes where x <=_F y get split in ``excluded``, and Up(<=_F) is what
+    every lane has left."""
+    width, every, splits, _ = _lane_layout(n)
+    packed = int.from_bytes(data, "little")
+    ones = ((1 << len(data) * 8) - 1) // ((1 << width) - 1)    # bit 0 of each lane
+    top = width - 1
+    high = ones << top
+    low = high - ones
+    excluded = 0
+    for split in splits:
+        met = ((packed & split * ones) + low) & high
+        excluded |= ((met ^ high) >> top) * split
+    return packed ^ (every * ones & ~excluded)
+
+
+def _computed_topology(n: int, opens, where: str = "") -> FiniteTopology:
+    """One topology the program computed, as sorted opens, built through the
+    validating constructor; a failure is a program fault, so it raises
+    AssertionError naming the constructor's first fault, plus ``where``."""
     try:
-        return tuple(FiniteTopology(n, opens) for opens in families)
+        return FiniteTopology(n, opens)
     except TopologyError as exc:
-        raise AssertionError(f"computed family on {n} points is not a topology: {exc}") from exc
+        raise AssertionError(f"computed family on {n} points is not a topology: "
+                             f"{exc}{where}") from exc
+
+
+def computed_topologies(n: int, families) -> tuple[FiniteTopology, ...]:
+    """The topologies of open families the program computed itself (catalog
+    members, closure-route results, orbit images, hull members), given as
+    bitsets (bit o set iff the point set o is open), in the order given.
+
+    One family is built through the validating constructor, whose check
+    costs less than one pass of the batch check.  More are decided _CHUNK
+    at a time, one lane each, by the exact check of
+    :func:`_refused_lanes`, and each value is built with its opens read off
+    its checked lane, so they are strictly sorted by construction.  Either
+    way every family is checked exactly once, and a family that is not a
+    topology is a program fault: it raises AssertionError (which survives
+    python -O) naming the family, rather than an input error."""
+    families = list(families)
+    if len(families) == 1:
+        family, = families
+        return (_computed_topology(n, tuple(o for o in range(family.bit_length())
+                                            if family >> o & 1)),)
+    width, _, _, reads = _lane_layout(n)
+    lane_bytes = methodcaller("to_bytes", width // 8, "little")
+    opens = []
+    for start in range(0, len(families), _CHUNK):
+        chunk = families[start:start + _CHUNK]
+        try:
+            data = b"".join(map(lane_bytes, chunk))
+        except OverflowError:
+            i = next(i for i, f in enumerate(chunk) if not 0 <= f < 1 << width)
+            raise AssertionError(f"computed family {chunk[i]:#x} on {n} points, member "
+                                 f"{start + i} of the batch, does not fit in "
+                                 f"{width} bits") from None
+        # each lane's opens: the point sets of its bytes, concatenated
+        read = map(sum, zip(*[map(getitem, cycle(reads), data)] * len(reads)), repeat(()))
+        refused = _refused_lanes(n, data)
+        if refused:
+            i = ((refused & -refused).bit_length() - 1) // width
+            bad = next(islice(read, i, None))
+            where = f" (member {start + i} of the batch, opens {list(bad)})"
+            _computed_topology(n, bad, where)
+            raise AssertionError(f"the batch check refused the computed family on {n} "
+                                 f"points{where}, which the constructor accepts")
+        opens.extend(read)
+    return tuple(map(tuple.__new__, repeat(FiniteTopology), zip(repeat(n), opens)))
 
 
 def validate_topology(n: int, family) -> FiniteTopology:
@@ -225,11 +330,13 @@ def adjoin_open(opens, s: int) -> tuple[int, ...]:
     return tuple(sorted({a | c for a in opens for c in cuts}))
 
 
+@lru_cache(maxsize=None)
 def antidiscrete_topology(n: int) -> FiniteTopology:
     full = full_mask(n)
     return FiniteTopology(n, (0,) if full == 0 else (0, full))
 
 
+@lru_cache(maxsize=None)
 def discrete_topology(n: int) -> FiniteTopology:
     return FiniteTopology(n, tuple(range(1 << n)))
 
@@ -253,12 +360,17 @@ def mask_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+def family_bitset(opens) -> int:
+    """A family of distinct point sets as one int whose bit o is set iff o
+    is in the family: the sum of their powers of two is their union."""
+    return sum(map((1).__lshift__, opens))
+
+
 def opens_bitset(t: FiniteTopology) -> int:
-    """The open family as one int whose bit o is set iff the point set o is
-    open, so inclusion of open families is one AND: opens(t) <= opens(u) iff
-    opens_bitset(t) & opens_bitset(u) == opens_bitset(t).  The opens are
-    distinct, so the sum of their powers of two is their union."""
-    return sum(map((1).__lshift__, t.opens))
+    """The open family of t as a bitset (:func:`family_bitset`), so inclusion
+    of open families is one AND: opens(t) <= opens(u) iff
+    opens_bitset(t) & opens_bitset(u) == opens_bitset(t)."""
+    return family_bitset(t.opens)
 
 
 def _check_permutation(f: tuple[int, ...], n: int) -> None:
@@ -313,21 +425,36 @@ def is_homeomorphism(f: tuple[int, ...], t1: FiniteTopology, t2: FiniteTopology)
     return is_continuous(f, t1, t2) and image_topology(f, t1) == t2
 
 
-def orbit_opens(n: int, opens) -> list[tuple[int, ...]]:
-    """The families of the images of the point sets ``opens`` (the opens of
-    a topology on n points) under every permutation, sorted.
+def power_tables(n: int) -> list[list[int]]:
+    """For each permutation table of :func:`mask_tables`, read at call time,
+    the image of each point set as a one-bit family: powers[k][m] is
+    1 << tables[k][m].  A family's image under permutation k is then the sum
+    of its members' entries."""
+    return [list(map((1).__lshift__, table)) for table in mask_tables(n)]
 
-    images picks the images of the opens out of a permutation's table; its
-    extra leading 0 (the image of the empty set) keeps the result a tuple
-    when there is one open, and is cut off each distinct image."""
+
+def orbit_opens(opens, powers) -> set[int]:
+    """The open families of the permutation images of the point sets
+    ``opens`` (the opens of a topology), each as a bitset (bit o set iff the
+    point set o is open), from the tables ``powers`` (:func:`power_tables`).
+
+    images picks the entries of the opens out of a permutation's table; its
+    extra leading 0 (the image of the empty set, bit 0) keeps the result a
+    tuple when there is one open, and is taken off each distinct sum.  A sum
+    of distinct powers of two is their union, with as many bits set as it
+    has terms; a table that maps two opens to one point set (no permutation
+    does) would carry, so the bit counts are checked."""
     images = itemgetter(0, *opens)
-    distinct = set(map(tuple, map(sorted, map(images, mask_tables(n)))))
-    return [o[1:] for o in sorted(distinct)]
+    distinct = {s - 1 for s in set(map(sum, map(images, powers)))}
+    if set(map(int.bit_count, distinct)) != {len(opens)}:
+        raise AssertionError(f"a permutation table maps two opens of {list(opens)} "
+                             f"to one point set")
+    return distinct
 
 
 def homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
     """All permutation images of t, sorted; the first is its canonical form."""
-    return computed_topologies(t.n, orbit_opens(t.n, t.opens))
+    return tuple(sorted(computed_topologies(t.n, orbit_opens(t.opens, power_tables(t.n)))))
 
 
 def preorder_of_topology(t: FiniteTopology) -> tuple[int, ...]:
@@ -374,7 +501,7 @@ def least_twins(up, down) -> list[int]:
 
 def canonical_form(t: FiniteTopology) -> FiniteTopology:
     """Lexicographically least permutation image (the least sorted tuple of
-    image opens, as in :func:`orbit_opens`); constant on homeomorphism
+    the images of the opens); constant on homeomorphism
     classes.  Found by a search that fills image positions 0, 1, ... in
     order and keeps only the partial assignments that can still reach the
     least image.
@@ -429,4 +556,4 @@ def canonical_form(t: FiniteTopology) -> FiniteTopology:
                     for lack, m in zip(lacks, images) if lack != x]
             states.append((placed | x, tuple(lack for lack, _ in rest),
                            tuple(m for _, m in rest)))
-    return computed_topologies(n, [tuple(prefix)])[0]
+    return _computed_topology(n, tuple(prefix))

@@ -29,7 +29,6 @@ from revtop.topology import (
     full_mask,
     mask_tables,
     opens_bitset,
-    orbit_opens,
 )
 
 RUN_N6 = os.environ.get("REVTOP_N6", "") not in ("", "0")
@@ -133,6 +132,15 @@ def all_preorders(n: int):
     return extend(0, {0})
 
 
+def orbit_tuples(n: int, opens) -> list[tuple[int, ...]]:
+    """Oracle for the orbit of a topology's opens: each permutation table's
+    images of the opens as a sorted tuple, deduplicated and sorted.  The
+    leading 0 (the image of the empty set) keeps itemgetter's result a tuple
+    when there is one open, and is cut off each image."""
+    images = itemgetter(0, *opens)
+    return [o[1:] for o in sorted(set(map(tuple, map(sorted, map(images, mask_tables(n))))))]
+
+
 def transported_catalog(n: int):
     """Oracle for the catalog: every preorder of :func:`all_preorders`
     transported through the bijection, sorted, then partitioned by the orbit
@@ -145,7 +153,7 @@ def transported_catalog(n: int):
     claimed = set()
     for t in topologies:
         if t not in claimed:
-            members = tuple(FiniteTopology(n, o) for o in orbit_opens(n, t.opens))
+            members = tuple(FiniteTopology(n, o) for o in orbit_tuples(n, t.opens))
             claimed.update(members)
             orbits[members[0]] = members
     return topologies, tuple(orbits), orbits

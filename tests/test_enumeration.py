@@ -34,7 +34,9 @@ from revtop.topology import (
     FiniteTopology,
     TopologyError,
     adjoin_open,
+    family_bitset,
     mask_tables,
+    opens_bitset,
     preorder_of_topology,
     validate_topology,
 )
@@ -112,7 +114,7 @@ def test_linear_canonicity_test_matches_the_closure(n):
             first = next((i for i, b in enumerate(t.opens) if b & g not in base | {g}), None)
             assert len(read) == (len(t.opens) if first is None else first + 1), (t.opens, g)
             if canonical:
-                assert tuple(sorted(enumeration._adjoin_above(t.opens, base, g))) == closed
+                assert tuple(sorted(enumeration._adjoin_above(base, g))) == closed
 
 
 def failures_in_descendants(n):
@@ -206,6 +208,22 @@ def test_overlapping_orbits_are_an_internal_error(monkeypatch, capsys):
     assert err.endswith(" meets an orbit already built\n")
 
 
+def test_merging_table_is_an_internal_error(monkeypatch, capsys):
+    # a table that maps two point sets to one comes from no permutation; the
+    # sum of an orbit's images would carry, so their bit counts are checked
+    from revtop.cli import main
+
+    tables = mask_tables(2) + ((0, 1, 1, 3),)
+    monkeypatch.setattr(topology, "mask_tables", lambda n: tables)
+    enumeration.catalog.cache_clear()
+    try:
+        assert main(["enum", "--n", "2", "--format", "json"]) == 3
+    finally:
+        enumeration.catalog.cache_clear()
+    assert capsys.readouterr().err == ("internal error: a permutation table maps two opens "
+                                       "of [0, 1, 2, 3] to one point set\n")
+
+
 OVERLAPPING = """
 import sys
 import revtop.topology as topology
@@ -245,16 +263,26 @@ def test_cap_is_checked_before_any_table(monkeypatch):
 
 @pytest.mark.parametrize("n", range(6))
 def test_every_member_is_validated_once(monkeypatch, n):
+    # a member is checked by the constructor (a batch of one) or in one lane
+    # of the batch check; calls records the bitset of each family checked
     calls = []
-    check = topology._is_topology
+    check, refused_lanes = topology._is_topology, topology._refused_lanes
+    step = topology._lane_layout(n)[0] // 8      # bytes per lane
+
+    def lanes(k, data):
+        calls.extend(int.from_bytes(data[i:i + step], "little")
+                     for i in range(0, len(data), step))
+        return refused_lanes(k, data)
+
     monkeypatch.setattr(topology, "_is_topology",
-                        lambda k, ops: calls.append(ops) or check(k, ops))
+                        lambda k, ops: calls.append(family_bitset(ops)) or check(k, ops))
+    monkeypatch.setattr(topology, "_refused_lanes", lanes)
     cat = enumerate_topologies(n)
     assert calls == []      # the orbits are built on their first read
     assert len(cat) == KNOWN_COUNTS[n] and calls == []
     cat.orbits
     assert len(calls) == KNOWN_COUNTS[n]
-    assert sorted(calls) == [t.opens for t in cat.topologies]
+    assert sorted(calls) == sorted(map(opens_bitset, cat.topologies))
 
 
 @pytest.mark.parametrize("n", range(6))

@@ -267,6 +267,24 @@ def test_classification_examples():
     assert classify_strongly_reversible(SIERP) == StrongKind.NOT_STRONGLY_REVERSIBLE
 
 
+def test_classification_builds_no_topology_once_per_n(monkeypatch):
+    # the discrete and antidiscrete topologies it compares with are built
+    # once per n, not on every call
+    import revtop.topology as topology
+    for n in range(5):
+        classify_strongly_reversible(antidiscrete_topology(n))
+        catalog(n).orbits
+    calls = []
+    check = topology._is_topology
+    monkeypatch.setattr(topology, "_is_topology",
+                        lambda k, ops: calls.append(ops) or check(k, ops))
+    for n in range(5):
+        kinds = [classify_strongly_reversible(t) for t in catalog(n).topologies]
+        strong = 1 if n < 2 else 2       # below 2 points the two coincide
+        assert kinds.count(StrongKind.NOT_STRONGLY_REVERSIBLE) == len(kinds) - strong
+    assert calls == []
+
+
 def test_classification_agrees_with_orbit_test(cat4):
     for t in cat4.topologies:
         label = classify_strongly_reversible(t)

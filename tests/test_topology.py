@@ -17,6 +17,7 @@ from conftest import (
     relabelled_rows,
 )
 
+import revtop.topology as topology
 from revtop.enumeration import _up_opens, catalog, cover_graph
 from revtop.topology import (
     DimensionMismatchError,
@@ -29,12 +30,15 @@ from revtop.topology import (
     adjoin_open,
     antidiscrete_topology,
     canonical_form,
+    computed_topologies,
     discrete_topology,
+    full_mask,
     image_topology,
     is_continuous,
     is_homeomorphism,
     opens_bitset,
     orbit_opens,
+    power_tables,
     validate_topology,
 )
 
@@ -324,10 +328,126 @@ def test_canonical_form_of_two_equal_chains(length):
 
 @pytest.mark.parametrize("n", range(5))
 def test_orbit_opens_matches_image_topology(n):
-    # the table-driven images against image_topology, permutation by permutation
+    # the table-driven image bitsets against image_topology, permutation by
+    # permutation
     for t in catalog(n).topologies:
-        images = {image_topology(f, t).opens for f in permutations(range(n))}
-        assert orbit_opens(n, t.opens) == sorted(images)
+        images = {opens_bitset(image_topology(f, t)) for f in permutations(range(n))}
+        assert orbit_opens(t.opens, power_tables(n)) == images
+
+
+def constructor_verdict(n: int, family: int) -> bool:
+    """Is the family bitset a topology, by the constructor's check?"""
+    try:
+        FiniteTopology(n, tuple(o for o in range(family.bit_length()) if family >> o & 1))
+    except TopologyError:
+        return False
+    return True
+
+
+def lane_verdicts(n: int, families) -> list[bool]:
+    """The batch check's verdict on each family, all in one pass: is it a
+    topology?  A lane of the check's result is zero iff its family is."""
+    step = topology._lane_layout(n)[0] // 8
+    data = b"".join(f.to_bytes(step, "little") for f in families)
+    refused = topology._refused_lanes(n, data).to_bytes(len(data), "little")
+    return [not any(refused[i:i + step]) for i in range(0, len(data), step)]
+
+
+def exactness_families(n: int) -> tuple[list[int], list[int]]:
+    """Topologies as bitsets, every labelled one up to 5 points and a seeded
+    sample of 40 at 6, and every family made from one of them by adding or
+    removing one point set, many of them not topologies."""
+    if n <= 5:
+        tops = [opens_bitset(t) for t in catalog(n).topologies]
+    else:
+        rng = random.Random(6)
+        tops = [opens_bitset(generate(n, rng.sample(range(1, 63), rng.randint(1, 4))))
+                for _ in range(40)]
+    return tops, [b ^ 1 << o for b in tops for o in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_batch_check_agrees_with_the_constructor(n):
+    tops, neighbours = exactness_families(n)
+    families = tops + neighbours
+    expected = [constructor_verdict(n, f) for f in families]
+    assert all(expected[:len(tops)]) and not all(expected)
+    assert lane_verdicts(n, families) == expected                  # one batch
+    assert [v for start in range(0, len(families), 97)           # in chunks
+            for v in lane_verdicts(n, families[start:start + 97])] == expected
+    assert [lane_verdicts(n, [f]) for f in families] == [[v] for v in expected]
+    valid = [f for f, v in zip(families, expected) if v]
+    assert list(map(opens_bitset, computed_topologies(n, valid))) == valid
+
+
+@pytest.mark.parametrize("n,bad", [(2, 2), (4, 200), (5, 1500)])
+def test_batch_names_the_family_it_refuses(n, bad):
+    # one family that lacks the full set among topologies, at position bad,
+    # which lies in the second chunk at n = 5
+    families = [opens_bitset(t) for t in catalog(n).topologies]
+    families[bad] ^= 1 << full_mask(n)
+    with pytest.raises(AssertionError) as err:
+        computed_topologies(n, families)
+    opens = [o for o in range(1 << n) if families[bad] >> o & 1]
+    assert str(err.value) == (f"computed family on {n} points is not a topology: family on "
+                               f"{n} points lacks the full set (member {bad} of the batch, "
+                               f"opens {opens})")
+
+
+def test_batch_of_one_takes_the_constructor(monkeypatch):
+    def forbidden(n, data):
+        raise AssertionError("a batch of one took the lane check")
+
+    monkeypatch.setattr(topology, "_refused_lanes", forbidden)
+    assert computed_topologies(2, [0b1011]) == (SIERP,)
+    with pytest.raises(AssertionError, match="^computed family on 2 points is not a "
+                                             "topology: family on 2 points lacks the full set$"):
+        computed_topologies(2, [0b0011])
+
+
+def test_batch_refuses_families_beyond_the_ground_set():
+    # below 8 points a lane has spare bits, and the check refuses them; at 3
+    # points and more a lane is exactly 2^n bits, so packing refuses them
+    with pytest.raises(AssertionError, match="point set 5 out of range for n=2"):
+        computed_topologies(2, [0b1011, 0b101011])
+    with pytest.raises(AssertionError, match="member 1 of the batch, does not fit in 8 bits"):
+        computed_topologies(3, [0b10000001, 1 << 8 | 0b10000001])
+    with pytest.raises(AssertionError, match="member 0 of the batch, does not fit"):
+        computed_topologies(3, [-1, 0b10000001])
+
+
+BATCH_FAULT = """
+import sys
+import revtop.enumeration as enumeration
+from revtop.cli import main
+from revtop.topology import computed_topologies
+
+if not sys.flags.optimize:
+    sys.exit(99)
+try:
+    computed_topologies(2, [0b1011, 0b0111, 0b1001])    # the second lacks the full set
+except AssertionError as exc:
+    print(exc)
+up_opens, calls = enumeration._up_opens, []
+
+def lossy(rows):
+    calls.append(rows)
+    opens = up_opens(rows)
+    return opens[:-1] if len(calls) == 2 else opens
+
+enumeration._up_opens = lossy
+sys.exit(main(["enum", "--n", "3", "--format", "json"]))
+"""
+
+
+def test_batch_check_survives_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", BATCH_FAULT], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ("computed family on 2 points is not a topology: family on 2 points "
+                           "lacks the full set (member 1 of the batch, opens [0, 1, 2])\n")
+    assert proc.stderr.startswith("internal error: computed family on 3 points is not a "
+                                  "topology: family on 3 points lacks the full set (member ")
 
 
 def test_opens_bitset_examples():
