@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import chain, filterfalse, islice
 from math import factorial
+from operator import attrgetter
 
 from .topology import (
     FiniteTopology,
@@ -316,7 +317,7 @@ def enumerate_topologies_by_closure(n: int) -> tuple[FiniteTopology, ...]:
                 found.append(family_bitset(child))
                 # the children share failed, complete before any is popped
                 stack.append((child, path + (g,), failed))
-    return tuple(sorted(computed_topologies(n, found)))
+    return tuple(sorted(computed_topologies(n, found), key=attrgetter("opens")))
 
 
 def enumerate_topologies_via_preorders(n: int) -> tuple[FiniteTopology, ...]:
@@ -385,7 +386,8 @@ def _orbit_map(n: int) -> dict[FiniteTopology, tuple[FiniteTopology, ...]]:
     members = iter(computed_topologies(n, chain.from_iterable(orbits)))
     # each orbit sorted, then keyed by representative: distinct orbits have
     # distinct least members
-    built = sorted(tuple(sorted(islice(members, len(images)))) for images in orbits)
+    built = sorted(tuple(sorted(islice(members, len(images)), key=attrgetter("opens")))
+                   for images in orbits)
     return {orbit[0]: orbit for orbit in built}
 
 

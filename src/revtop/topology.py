@@ -12,7 +12,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import cycle, islice, repeat
 from itertools import permutations as _all_perms
-from operator import getitem, itemgetter, methodcaller
+from operator import attrgetter, getitem, itemgetter, methodcaller
 
 DEFAULT_POINT_CAP = 5
 HARD_POINT_CAP = 10  # bit arithmetic stays exact; enumeration beyond this is hopeless anyway
@@ -267,19 +267,13 @@ def computed_topologies(n: int, families) -> tuple[FiniteTopology, ...]:
     members, closure-route results, orbit images, hull members), given as
     bitsets (bit o set iff the point set o is open), in the order given.
 
-    One family is built through the validating constructor, whose check
-    costs less than one pass of the batch check.  More are decided _CHUNK
-    at a time, one lane each, by the exact check of
-    :func:`_refused_lanes`, and each value is built with its opens read off
-    its checked lane, so they are strictly sorted by construction.  Either
-    way every family is checked exactly once, and a family that is not a
+    The families are decided _CHUNK at a time, one lane each, by the exact
+    check of :func:`_refused_lanes`, and each value is built with its opens
+    read off its checked lane, so they are strictly sorted by construction.
+    Every family is checked exactly once, and a family that is not a
     topology is a program fault: it raises AssertionError (which survives
     python -O) naming the family, rather than an input error."""
     families = list(families)
-    if len(families) == 1:
-        family, = families
-        return (_computed_topology(n, tuple(o for o in range(family.bit_length())
-                                            if family >> o & 1)),)
     width, _, _, reads = _lane_layout(n)
     lane_bytes = methodcaller("to_bytes", width // 8, "little")
     opens = []
@@ -454,7 +448,8 @@ def orbit_opens(opens, powers) -> set[int]:
 
 def homeo_class(t: FiniteTopology) -> tuple[FiniteTopology, ...]:
     """All permutation images of t, sorted; the first is its canonical form."""
-    return tuple(sorted(computed_topologies(t.n, orbit_opens(t.opens, power_tables(t.n)))))
+    return tuple(sorted(computed_topologies(t.n, orbit_opens(t.opens, power_tables(t.n))),
+                        key=attrgetter("opens")))
 
 
 def preorder_of_topology(t: FiniteTopology) -> tuple[int, ...]:

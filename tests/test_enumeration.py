@@ -263,8 +263,9 @@ def test_cap_is_checked_before_any_table(monkeypatch):
 
 @pytest.mark.parametrize("n", range(6))
 def test_every_member_is_validated_once(monkeypatch, n):
-    # a member is checked by the constructor (a batch of one) or in one lane
-    # of the batch check; calls records the bitset of each family checked
+    # a member is checked in one lane of the batch check; calls records the
+    # bitset of each family checked there or by the constructor, so a member
+    # that also took the constructor would count twice
     calls = []
     check, refused_lanes = topology._is_topology, topology._refused_lanes
     step = topology._lane_layout(n)[0] // 8      # bytes per lane

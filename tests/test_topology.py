@@ -394,17 +394,6 @@ def test_batch_names_the_family_it_refuses(n, bad):
                                f"opens {opens})")
 
 
-def test_batch_of_one_takes_the_constructor(monkeypatch):
-    def forbidden(n, data):
-        raise AssertionError("a batch of one took the lane check")
-
-    monkeypatch.setattr(topology, "_refused_lanes", forbidden)
-    assert computed_topologies(2, [0b1011]) == (SIERP,)
-    with pytest.raises(AssertionError, match="^computed family on 2 points is not a "
-                                             "topology: family on 2 points lacks the full set$"):
-        computed_topologies(2, [0b0011])
-
-
 def test_batch_refuses_families_beyond_the_ground_set():
     # below 8 points a lane has spare bits, and the check refuses them; at 3
     # points and more a lane is exactly 2^n bits, so packing refuses them
